@@ -156,7 +156,12 @@ class Delta:
     # -- inversion ---------------------------------------------------------
 
     def inverted(self) -> "Delta":
-        """The delta that maps the new version back onto the old one."""
+        """The delta that maps the new version back onto the old one.
+
+        Its subtrees are copies: a node of either version links, through
+        its parent, to that whole version, so an archived inverse that
+        shared them would keep both versions alive.
+        """
         inverse = Delta()
         # Inserts become deletes and vice versa; apply order is preserved by
         # construction (Delta always applies deletes before inserts).
@@ -166,7 +171,7 @@ class Delta:
                     xid=insert.xid,
                     parent_xid=insert.parent_xid,
                     position=insert.position,
-                    subtree=insert.subtree,
+                    subtree=_copy_subtree(insert.subtree),
                 )
             )
         # Deletes were recorded bottom-up/right-to-left against the *old*
@@ -177,7 +182,7 @@ class Delta:
                 InsertOp(
                     parent_xid=delete.parent_xid,
                     position=delete.position,
-                    subtree=delete.subtree,
+                    subtree=_copy_subtree(delete.subtree),
                 )
             )
         for update in self.text_updates:

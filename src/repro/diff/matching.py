@@ -28,9 +28,17 @@ _LCS_CELL_LIMIT = 1_000_000
 
 
 def compute_delta(
-    old_document: Document, new_document: Document, xid_space: XidSpace
+    old_document: Document,
+    new_document: Document,
+    xid_space: XidSpace,
+    old_signatures: Optional[Dict[int, int]] = None,
+    new_signatures: Optional[Dict[int, int]] = None,
 ) -> Delta:
     """Diff two versions.
+
+    ``old_signatures`` / ``new_signatures`` are the
+    :func:`~repro.diff.signature.subtree_signatures` maps of the two roots
+    when the caller already holds them; missing ones are computed here.
 
     Side effects: every node of ``new_document`` receives an XID — matched
     nodes inherit the old node's XID, inserted nodes get fresh XIDs from
@@ -43,8 +51,10 @@ def compute_delta(
             f"root element changed from <{old_root.tag}> to <{new_root.tag}>;"
             " version lineage must be restarted"
         )
-    old_signatures = subtree_signatures(old_root)
-    new_signatures = subtree_signatures(new_root)
+    if old_signatures is None:
+        old_signatures = subtree_signatures(old_root)
+    if new_signatures is None:
+        new_signatures = subtree_signatures(new_root)
     delta = Delta()
     _match_elements(
         old_root, new_root, old_signatures, new_signatures, delta, xid_space

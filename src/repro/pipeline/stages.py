@@ -83,8 +83,9 @@ class PipelineTask:
 
     fetch: Fetch
     index: int = 0
-    #: Filled by the parse stage (XML only); the load stage reuses it so a
-    #: threaded pre-parse is never repeated.
+    #: Filled by the parse stage (XML only); the load stage hands it to the
+    #: repository beside the raw text, so a threaded pre-parse is never
+    #: repeated and a byte-identical refetch still skips signature and diff.
     document: Optional[Document] = None
     #: Filled by the load stage.
     outcome: Optional[FetchOutcome] = None
@@ -152,8 +153,9 @@ def load_stage(system: Any, task: PipelineTask) -> None:
     """Store the page in the repository (stateful; input order matters)."""
     fetch = task.fetch
     if fetch.is_xml:
-        content = task.document if task.document is not None else fetch.content
-        task.outcome = system.repository.store_xml(fetch.url, content)
+        task.outcome = system.repository.store_xml(
+            fetch.url, fetch.content, task.document
+        )
     else:
         task.outcome = system.repository.store_html(fetch.url, fetch.content)
 

@@ -101,9 +101,10 @@ class SubscriptionSystem:
         document visits every shard).
 
         ``metrics`` injects the observability registry threaded through
-        every stage; the default builds one over the system clock (so
-        latencies are deterministic under a :class:`SimulatedClock`).  Pass
-        :data:`~repro.observability.NULL_REGISTRY` to disable
+        every stage; the default times stages in wall time
+        (``time.perf_counter``).  Pass ``MetricsRegistry(clock)`` for
+        latencies that are deterministic under a :class:`SimulatedClock`,
+        or :data:`~repro.observability.NULL_REGISTRY` to disable
         instrumentation entirely.
 
         ``executor`` selects the batch executor used by :meth:`feed_batch`
@@ -124,7 +125,7 @@ class SubscriptionSystem:
         """
         self.clock = clock if clock is not None else SimulatedClock()
         self.metrics = (
-            metrics if metrics is not None else MetricsRegistry(self.clock)
+            metrics if metrics is not None else MetricsRegistry()
         )
         self.classifier = (
             classifier if classifier is not None else SemanticClassifier()

@@ -7,6 +7,25 @@ and the delta" — we store it the other way around, newest-full, which is
 what a monitoring system reads most).  HTML pages are not warehoused: only
 their signature is kept, enough to answer changed/unchanged (Section 1).
 
+Loading one fetched XML page does each piece of work at most once:
+
+1. *digest* — the raw text's :func:`~repro.diff.page_signature` is compared
+   with the digest of the text the head version was loaded from; a
+   byte-identical refetch is ``unchanged`` without being parsed;
+2. *parse* — otherwise the text is parsed (unless an executor already
+   parsed it on a worker);
+3. *one signature pass* — :func:`~repro.diff.subtree_signatures` runs once
+   over the new version; its root value is the document signature that
+   decides changed/unchanged (Section 6.3);
+4. *diff* — only a changed page is diffed, against the head version's
+   signatures kept from the store that made it head, so the old version is
+   not hashed again.
+
+The digest and the head signatures (8 bytes per node, postorder) are kept
+only for versions parsed from fetched text.  A version handed in as a
+:class:`~repro.xmlstore.nodes.Document` stays the caller's object, which
+the caller may still edit, so its signatures are recomputed when needed.
+
 ``store_xml`` returns a :class:`FetchOutcome` carrying everything the
 alerter chain needs: status (new/updated/unchanged), the delta, and both
 versions.
@@ -14,6 +33,7 @@ versions.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
@@ -27,8 +47,8 @@ from ..diff import (
     apply_delta,
     compute_delta,
     copy_document,
-    document_signature,
     page_signature,
+    subtree_signatures,
 )
 from ..errors import DiffError, DocumentNotFound, RepositoryError
 from ..observability.metrics import MetricsRegistry, NULL_REGISTRY
@@ -51,7 +71,9 @@ class FetchOutcome:
 
     meta: DocumentMeta
     status: str  # DOC_NEW / DOC_UPDATED / DOC_UNCHANGED
-    document: Optional[Document] = None      # new current version (XML only)
+    #: New current version (XML only).  It is the stored head itself, not a
+    #: copy: readers must not modify it.
+    document: Optional[Document] = None
     old_document: Optional[Document] = None  # previous version (XML, updated)
     delta: Optional[Delta] = None            # old -> new (XML, updated)
 
@@ -72,6 +94,43 @@ class _StoredDocument:
     #: (version number of the *older* version, delta new->old) pairs, newest
     #: first; applying them successively to ``current`` walks back in time.
     history: List[Tuple[int, Delta]] = field(default_factory=list)
+    #: ``page_signature`` of the text ``current`` was parsed from; None when
+    #: unknown (HTML, restored, or stored from a caller's Document).
+    raw_digest: Optional[int] = None
+    #: Subtree signatures of ``current`` in postorder; None when unknown.
+    head_signatures: Optional[array] = None
+
+    def set_head(
+        self,
+        document: Document,
+        signatures: Dict[int, int],
+        raw_digest: Optional[int],
+    ) -> None:
+        """Make ``document`` the head version, given its signatures.
+
+        The signatures are kept only with a raw digest, that is for a
+        version parsed from fetched text, which no caller holds.
+        """
+        self.current = document
+        self.meta.signature = signatures[id(document.root)]
+        self.raw_digest = raw_digest
+        self.head_signatures = (
+            array("Q", signatures.values()) if raw_digest is not None else None
+        )
+
+    def cached_head_signatures(self) -> Optional[Dict[int, int]]:
+        """The head's ``subtree_signatures`` map, rebuilt from the cache."""
+        if self.head_signatures is None:
+            return None
+        assert self.current is not None
+        nodes = map(id, self.current.root.postorder())
+        return dict(zip(nodes, self.head_signatures))
+
+
+def _unchanged(stored: _StoredDocument) -> FetchOutcome:
+    return FetchOutcome(
+        meta=stored.meta, status=DOC_UNCHANGED, document=stored.current
+    )
 
 
 class Repository:
@@ -103,9 +162,17 @@ class Repository:
     # -- storing -----------------------------------------------------------
 
     def store_xml(
-        self, url: str, content: Union[str, Document]
+        self,
+        url: str,
+        content: Union[str, Document],
+        document: Optional[Document] = None,
     ) -> FetchOutcome:
         """Load one fetched XML page; returns the change outcome.
+
+        ``content`` is the fetched text, or an already-parsed
+        :class:`Document`.  ``document`` is the text already parsed: an
+        executor that parses on worker threads passes both, so the store
+        skips its own parse yet still recognises a byte-identical refetch.
 
         Instrumentation: a successful store observes one latency sample on
         ``repository.store_xml.latency_seconds`` and bumps
@@ -114,7 +181,7 @@ class Repository:
         rejects with their reason.
         """
         start = self.metrics.now()
-        outcome = self._store_xml(url, content)
+        outcome = self._store_xml(url, content, document)
         self._xml_latency.observe(self.metrics.now() - start)
         self.metrics.counter(
             COUNTER_REPOSITORY_OUTCOMES, kind=XML, status=outcome.status
@@ -122,48 +189,73 @@ class Repository:
         return outcome
 
     def _store_xml(
-        self, url: str, content: Union[str, Document]
+        self,
+        url: str,
+        content: Union[str, Document],
+        document: Optional[Document],
     ) -> FetchOutcome:
-        document = parse(content) if isinstance(content, str) else content
-        now = self.clock.now()
         doc_id = self._by_url.get(url)
-        if doc_id is None:
-            return self._store_new_xml(url, document, now)
-        stored = self._docs[doc_id]
+        stored = self._docs[doc_id] if doc_id is not None else None
+        raw_digest = None
+        if isinstance(content, str):
+            raw_digest = page_signature(content)
+            if stored is not None and stored.raw_digest == raw_digest:
+                # Byte-identical refetch: nothing to parse, hash or diff.
+                stored.meta.last_accessed = self.clock.now()
+                return _unchanged(stored)
+            if document is None:
+                document = parse(content)
+        else:
+            document = content
+        now = self.clock.now()
+        signatures = subtree_signatures(document.root)
+        if stored is None:
+            return self._store_new_xml(
+                url, document, now, signatures, raw_digest
+            )
         if stored.meta.kind != XML:
             raise RepositoryError(
                 f"{url} was previously stored as {stored.meta.kind}"
             )
         assert stored.current is not None and stored.xid_space is not None
         stored.meta.last_accessed = now
-        new_signature = document_signature(document)
-        if new_signature == stored.meta.signature:
-            return FetchOutcome(
-                meta=stored.meta,
-                status=DOC_UNCHANGED,
-                document=stored.current,
-            )
+        if signatures[id(document.root)] == stored.meta.signature:
+            # Same tree from different text (e.g. whitespace the parser
+            # drops): remember this text so its next refetch skips parsing.
+            if raw_digest is not None:
+                stored.raw_digest = raw_digest
+            return _unchanged(stored)
         try:
-            delta = compute_delta(stored.current, document, stored.xid_space)
+            delta = compute_delta(
+                stored.current,
+                document,
+                stored.xid_space,
+                old_signatures=stored.cached_head_signatures(),
+                new_signatures=signatures,
+            )
         except DiffError:
             # Root element changed: restart the lineage (same doc id).
-            return self._restart_lineage(stored, document, now, new_signature)
-        if not delta:
-            # Content hash differs only through aspects the diff ignores
-            # (e.g. DOCTYPE changes); treat as unchanged at element level.
-            stored.meta.signature = new_signature
-            return FetchOutcome(
-                meta=stored.meta,
-                status=DOC_UNCHANGED,
-                document=stored.current,
+            return self._restart_lineage(
+                stored, document, now, signatures, raw_digest
             )
+        if not delta:
+            # An empty delta means the two trees are equal, yet their
+            # signatures differ.  A 64-bit collision aside, the stored
+            # signature no longer describes the head: a caller edited a
+            # Document after storing it.  (A DOCTYPE-only change never gets
+            # here: the signature covers the root subtree alone, so it is
+            # unchanged above.)  Resynchronise the signature and drop what
+            # was derived from the head before the edit.
+            stored.meta.signature = signatures[id(document.root)]
+            stored.raw_digest = None
+            stored.head_signatures = None
+            return _unchanged(stored)
         old_document = stored.current
         stored.history.insert(0, (stored.meta.version, delta.inverted()))
         del stored.history[self.keep_versions - 1 :]
-        stored.current = document
+        stored.set_head(document, signatures, raw_digest)
         stored.meta.version += 1
         stored.meta.last_updated = now
-        stored.meta.signature = new_signature
         self._reindex(stored)
         return FetchOutcome(
             meta=stored.meta,
@@ -174,7 +266,12 @@ class Repository:
         )
 
     def _store_new_xml(
-        self, url: str, document: Document, now: float
+        self,
+        url: str,
+        document: Document,
+        now: float,
+        signatures: Dict[int, int],
+        raw_digest: Optional[int],
     ) -> FetchOutcome:
         doc_id = self._next_doc_id
         self._next_doc_id += 1
@@ -187,7 +284,6 @@ class Repository:
             dtd_url=document.dtd_url,
             last_accessed=now,
             last_updated=now,
-            signature=document_signature(document),
             version=1,
         )
         if document.dtd_url is not None:
@@ -198,6 +294,7 @@ class Repository:
         stored = _StoredDocument(
             meta=meta, current=document, xid_space=xid_space
         )
+        stored.set_head(document, signatures, raw_digest)
         self._by_url[url] = doc_id
         self._docs[doc_id] = stored
         self._reindex(stored)
@@ -208,17 +305,18 @@ class Repository:
         stored: _StoredDocument,
         document: Document,
         now: float,
-        signature: int,
+        signatures: Dict[int, int],
+        raw_digest: Optional[int],
     ) -> FetchOutcome:
         old_document = stored.current
         xid_space = XidSpace()
         xid_space.assign_fresh(document.root)
-        stored.current = document
+        # The old lineage's digest and signatures go with it.
+        stored.set_head(document, signatures, raw_digest)
         stored.xid_space = xid_space
         stored.history.clear()
         stored.meta.version += 1
         stored.meta.last_updated = now
-        stored.meta.signature = signature
         stored.meta.dtd_url = document.dtd_url
         if document.dtd_url is not None:
             stored.meta.dtd_id = self.classifier.dtd_registry.register(

@@ -54,6 +54,15 @@ class TestReconstruction:
         apply_delta(old, delta)
         assert serialize(old) == before
 
+    def test_inverse_holds_no_node_of_either_version(self):
+        # An archived inverse must not keep a whole version alive through
+        # the parent links of shared subtrees.
+        _, _, delta = prepared("<r><a/><b>x</b></r>", "<r><b>x</b><c/></r>")
+        inverse = delta.inverted()
+        assert inverse.inserts and inverse.deletes
+        for op in inverse.inserts + inverse.deletes:
+            assert op.subtree.parent is None
+
     def test_double_inversion_is_identity(self):
         old, new, delta = prepared("<r><a>1</a></r>", "<r><a>2</a><b/></r>")
         rebuilt = apply_delta(old, delta.inverted().inverted())

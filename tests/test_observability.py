@@ -292,10 +292,16 @@ class TestSystemSnapshot:
         assert snapshot["gauges"]["pipeline.subscriptions"] == 1.0
 
     def test_latencies_deterministic_under_simulated_clock(self):
-        # The registry times with the system's SimulatedClock, which never
-        # advances inside a stage, so every observation is exactly 0.0 and
+        # An injected registry over the system's SimulatedClock, which never
+        # advances inside a stage: every observation is exactly 0.0 and
         # lands in the first bucket.
-        system = self.build_system()
+        clock = SimulatedClock(990_000_000.0)
+        system = SubscriptionSystem(
+            clock=clock,
+            shards=2,
+            shard_mode="flow",
+            metrics=MetricsRegistry(clock),
+        )
         system.subscribe(SOURCE, owner_email="u@x")
         self.feed_webworld(system, documents=20)
         snapshot = system.metrics_snapshot()
@@ -305,6 +311,15 @@ class TestSystemSnapshot:
                 continue  # e.g. executor.batch_size counts sizes, not time
             assert payload["buckets"][first] == payload["count"], key
             assert payload["sum"] == 0.0
+
+    def test_default_registry_times_in_wall_time(self):
+        system = self.build_system()
+        self.feed_webworld(system, documents=20)
+        histogram = system.metrics_snapshot()["histograms"][
+            "repository.store_xml.latency_seconds"
+        ]
+        assert histogram["count"] == 20
+        assert histogram["sum"] > 0.0
 
     def test_single_processor_gets_shard_zero_label(self):
         system = SubscriptionSystem(clock=SimulatedClock(1_000_000.0))

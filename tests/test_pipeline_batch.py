@@ -12,6 +12,7 @@ import pytest
 
 from repro.clock import SimulatedClock
 from repro.errors import PipelineError, XMLSyntaxError
+from repro.observability import MetricsRegistry
 from repro.pipeline import (
     Fetch,
     SerialExecutor,
@@ -34,7 +35,12 @@ report when immediate
 
 
 def build_system(**kwargs) -> SubscriptionSystem:
-    system = SubscriptionSystem(clock=SimulatedClock(1_000_000.0), **kwargs)
+    # Latencies over the simulated clock are exact, so whole histograms
+    # can be compared across systems.
+    clock = SimulatedClock(1_000_000.0)
+    system = SubscriptionSystem(
+        clock=clock, metrics=MetricsRegistry(clock), **kwargs
+    )
     system.subscribe(SOURCE, owner_email="u@x")
     return system
 

@@ -1,8 +1,13 @@
 import pytest
 
-from repro.diff import DOC_NEW, DOC_UNCHANGED, DOC_UPDATED
+from repro.clock import SimulatedClock
+from repro.diff import DOC_NEW, DOC_UNCHANGED, DOC_UPDATED, matching
 from repro.errors import DocumentNotFound, RepositoryError
-from repro.xmlstore import serialize
+from repro.pipeline import Fetch, SubscriptionSystem
+from repro.recovery.state import capture_runtime, restore_runtime
+from repro.repository import Repository, store
+from repro.repository.persistence import load_repository, save_repository
+from repro.xmlstore import parse, serialize
 
 
 class TestStoreXML:
@@ -154,3 +159,132 @@ class TestLookupsAndRemoval:
         repository.store_xml("http://x/a.xml", "<r/>")
         repository.add_importance("http://x/a.xml", 2.5)
         assert repository.meta_for_url("http://x/a.xml").importance == 3.5
+
+
+URL = "http://x/a.xml"
+TEXT = "<r><a>x</a><b k='1'>y</b></r>"
+SPACED = "<r>\n  <a>x</a>\n  <b k='1'>y</b>\n</r>"
+EDITED = "<r><a>x</a><b k='2'>y</b><c/></r>"
+
+#: Refetches after a first store of TEXT: identical, whitespace-only,
+#: identical to that, changed, identical to that, root changed.
+REFETCHES = [TEXT, SPACED, SPACED, EDITED, EDITED, "<s/>", "<s/>", TEXT]
+
+
+def count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def transcript(outcome):
+    return (
+        outcome.status,
+        outcome.meta.version,
+        serialize(outcome.document),
+        [node.xid for node in outcome.document.preorder()],
+        None if outcome.delta is None else len(outcome.delta),
+    )
+
+
+class TestOnePassLoad:
+    def test_byte_identical_refetch_is_not_parsed(
+        self, repository, clock, monkeypatch
+    ):
+        first = repository.store_xml(URL, TEXT)
+        parses = count_calls(monkeypatch, store, "parse")
+        clock.advance(10)
+        outcome = repository.store_xml(URL, TEXT)
+        assert parses == []
+        assert outcome.status == DOC_UNCHANGED
+        assert outcome.document is first.document
+        assert outcome.meta.last_accessed == clock.now()
+
+    def test_whitespace_variant_is_unchanged_and_refreshes_digest(
+        self, repository, monkeypatch
+    ):
+        repository.store_xml(URL, TEXT)
+        parses = count_calls(monkeypatch, store, "parse")
+        assert repository.store_xml(URL, SPACED).status == DOC_UNCHANGED
+        assert len(parses) == 1
+        assert repository.store_xml(URL, SPACED).status == DOC_UNCHANGED
+        assert len(parses) == 1  # the digest now names the spaced text
+        assert repository.store_xml(URL, TEXT).status == DOC_UNCHANGED
+        assert len(parses) == 2
+
+    def test_one_signature_pass_per_update(self, repository, monkeypatch):
+        repository.store_xml(URL, TEXT)
+        passes = count_calls(monkeypatch, store, "subtree_signatures")
+        passes += count_calls(monkeypatch, matching, "subtree_signatures")
+        outcome = repository.store_xml(URL, EDITED)
+        assert outcome.status == DOC_UPDATED
+        assert len(passes) == 1
+
+    def test_pre_parsed_identical_refetch_skips_signatures(
+        self, repository, monkeypatch
+    ):
+        repository.store_xml(URL, TEXT, parse(TEXT))
+        passes = count_calls(monkeypatch, store, "subtree_signatures")
+        outcome = repository.store_xml(URL, TEXT, parse(TEXT))
+        assert outcome.status == DOC_UNCHANGED
+        assert passes == []
+
+    def test_edited_document_is_diffed_afresh(self, repository):
+        # A stored Document stays the caller's object; editing it and
+        # storing it again resynchronises the signature (nothing changed
+        # element-level), and the old text is then an update.
+        document = parse(TEXT)
+        repository.store_xml(URL, document)
+        document.root.first("a").children[0].data = "edited"
+        assert repository.store_xml(URL, document).status == DOC_UNCHANGED
+        outcome = repository.store_xml(URL, TEXT)
+        assert outcome.status == DOC_UPDATED
+        assert [op.new_text for op in outcome.delta.text_updates] == ["x"]
+
+
+class TestRestoredRefetches:
+    """A restored repository starts without digests or cached signatures
+    and must still give an unrestored repository's outcomes."""
+
+    def test_after_load_repository(self, classifier, clock, tmp_path):
+        original = Repository(classifier=classifier, clock=clock)
+        original.store_xml(URL, TEXT)
+        save_repository(original, str(tmp_path))
+        restored = Repository(classifier=classifier, clock=clock)
+        load_repository(restored, str(tmp_path))
+        for text in REFETCHES:
+            expected = transcript(original.store_xml(URL, text))
+            assert transcript(restored.store_xml(URL, text)) == expected
+
+    def test_after_restore_runtime(self):
+        original = SubscriptionSystem(clock=SimulatedClock(1_000_000.0))
+        original.feed_xml(URL, TEXT)
+        state = capture_runtime(original)
+        restored = SubscriptionSystem(clock=SimulatedClock(1_000_000.0))
+        restore_runtime(restored, state)
+        for text in REFETCHES:
+            expected = transcript(original.feed_xml(URL, text).outcome)
+            assert transcript(restored.feed_xml(URL, text).outcome) == expected
+
+
+@pytest.mark.parametrize("executor", ["threaded", "process:workers=2"])
+def test_executor_statuses_match_serial(executor):
+    fetches = [Fetch(URL, TEXT)] + [Fetch(URL, text) for text in REFETCHES]
+
+    def statuses(spec):
+        system = SubscriptionSystem(
+            clock=SimulatedClock(1_000_000.0), executor=spec
+        )
+        try:
+            results = system.feed_batch(fetches)
+        finally:
+            system.executor.close()
+        return [transcript(result.outcome) for result in results]
+
+    assert statuses(executor) == statuses("serial")
