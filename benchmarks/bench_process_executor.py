@@ -36,6 +36,9 @@ DOCS = 192 if QUICK else 576
 SITES = 24
 PRODUCTS = 40  # heavier XML per page than T-batch: parse must dominate
 REPEATS = 3
+#: Ingest-queue bound for every point: the largest batch size, so the
+#: feeder runs the same distance ahead at every batch size.
+QUEUE_BOUND = max(BATCH_SIZES)
 CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
     os.cpu_count() or 1
 )
@@ -73,9 +76,12 @@ def make_stream():
     return fetches
 
 
-def build_system(executor: str) -> SubscriptionSystem:
+def build_system(executor: str, batch_size: int = 32) -> SubscriptionSystem:
     system = SubscriptionSystem(
-        clock=SimulatedClock(1_000_000.0), executor=executor
+        clock=SimulatedClock(1_000_000.0),
+        executor=executor,
+        batch_size=batch_size,
+        queue_bound=QUEUE_BOUND,
     )
     system.subscribe(SOURCE, owner_email="bench@example.org")
     return system
@@ -93,9 +99,9 @@ def measure(executor: str, batch_size: int, stream) -> float:
     """Best-of-N wall-clock docs/sec for one (executor, batch) point."""
     best = float("inf")
     for _ in range(REPEATS):
-        system = build_system(executor)
+        system = build_system(executor, batch_size)
         start = time.perf_counter()
-        system.run_stream(iter(stream), batch_size=batch_size)
+        system.run_stream(iter(stream))
         elapsed = time.perf_counter() - start
         best = min(best, elapsed)
         system.executor.close()
@@ -128,8 +134,8 @@ def test_executor_throughput(benchmark, executor, batch_size):
     stream = make_stream()
 
     def run():
-        system = build_system(executor)
-        system.run_stream(iter(stream), batch_size=batch_size)
+        system = build_system(executor, batch_size)
+        system.run_stream(iter(stream))
         system.executor.close()
         return system
 

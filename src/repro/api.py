@@ -8,18 +8,22 @@ module under one flat namespace::
 
     system = api.SubscriptionSystem(executor="process:workers=4,batch=64")
     system.subscribe(source, owner_email="me@example.org")
-    with api.IngestSession(system) as session:
-        session.run_crawl(crawler)
+    system.run_stream(crawler.due_fetches())
+
+Documents enter by one of three :class:`SubscriptionSystem` calls:
+``feed`` (one document, raises on error), ``feed_batch`` (one batch with
+per-document error slots) and ``run_stream`` (a stream through the
+bounded queue).
 
 The groups:
 
 * **system** — :class:`SubscriptionSystem`, :class:`Fetch`,
   :class:`FeedResult`, the errors;
-* **ingestion** — :class:`IngestSession`, :class:`IngestReport`,
-  :class:`AsyncFetchFrontend`, :class:`BoundedFetchQueue`;
+* **ingestion** — :class:`BoundedFetchQueue`, the queue behind
+  ``run_stream``;
 * **executors** — :class:`ExecutorSpec`, :func:`create_executor`,
-  :func:`register_executor`, :func:`available_executors`, and the
-  executor classes themselves for direct construction;
+  :func:`available_executors`, and the executor classes themselves for
+  direct construction;
 * **resilience** — fault injection, retry, breaker and dead-letter types;
 * **recovery** — :class:`RecoveryManager`, :class:`CrashPoint` and the
   kill-point harness behind ``SubscriptionSystem.enable_recovery`` /
@@ -28,9 +32,8 @@ The groups:
 
 Modules under ``repro.*`` remain importable directly, but this facade is
 the compatibility surface: names here do not move between releases,
-whereas internal module layout may.  The deprecated entry points they
-replace (``repro.pipeline.executor.make_executor``) emit a
-``DeprecationWarning`` and delegate here.
+whereas internal module layout may.  Names removed from it are listed,
+with their replacements, in ``docs/PIPELINE.md``.
 """
 
 from __future__ import annotations
@@ -56,25 +59,20 @@ from .faults import (
 from .recovery import RecoveryManager, RuntimeJournal
 from .observability import MetricsRegistry, NULL_REGISTRY, NullRegistry
 from .pipeline import (
-    AsyncFetchFrontend,
     BatchExecutor,
     BoundedFetchQueue,
     DEFAULT_BATCH_SIZE,
     ExecutorSpec,
     Fetch,
     FeedResult,
-    IngestReport,
-    IngestSession,
     ProcessExecutor,
     SerialExecutor,
-    ShardFanoutExecutor,
     SubscriptionSystem,
     ThreadedExecutor,
     from_pairs,
 )
 from .pipeline.executors import available as available_executors
 from .pipeline.executors import create as create_executor
-from .pipeline.executors import register as register_executor
 from .webworld import SimulatedCrawler, SiteGenerator
 
 __all__ = [
@@ -88,20 +86,15 @@ __all__ = [
     "SubscriptionSyntaxError",
     "XMLSyntaxError",
     # ingestion
-    "IngestSession",
-    "IngestReport",
-    "AsyncFetchFrontend",
     "BoundedFetchQueue",
     # executors
     "ExecutorSpec",
     "create_executor",
-    "register_executor",
     "available_executors",
     "BatchExecutor",
     "SerialExecutor",
     "ThreadedExecutor",
     "ProcessExecutor",
-    "ShardFanoutExecutor",
     "DEFAULT_BATCH_SIZE",
     # resilience
     "FaultInjector",

@@ -206,27 +206,6 @@ def _add_executor_arguments(subparser: argparse.ArgumentParser) -> None:
         " threaded:workers=4, process:workers=4,batch=64,queue=128"
         " (default: $REPRO_EXECUTOR or serial)",
     )
-    subparser.add_argument(
-        "--batch-size",
-        type=int,
-        default=None,
-        help="documents per executor batch; overrides the spec's batch="
-        " field (default: 32)",
-    )
-    subparser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker lanes for the threaded/process executors; overrides"
-        " the spec's workers= field",
-    )
-    subparser.add_argument(
-        "--queue-depth",
-        type=int,
-        default=None,
-        help="bound of the ingest queue between fetching and the executor;"
-        " overrides the spec's queue= field (default: 2x batch size)",
-    )
 
 
 def _add_recovery_arguments(subparser: argparse.ArgumentParser) -> None:
@@ -376,17 +355,13 @@ def _drive_world(system, crawler, end_time: float, step: float) -> None:
 def _run_simulation(
     sites: int, days: int, seed: int, shards: int = 1,
     shard_mode: str = "flow", executor: Optional[str] = None,
-    batch_size: Optional[int] = None, workers: Optional[int] = None,
-    queue_depth: Optional[int] = None, fault_rate: float = 0.0,
-    fault_seed: int = 0, journal: Optional[str] = None,
-    checkpoint_every: int = 64,
+    fault_rate: float = 0.0, fault_seed: int = 0,
+    journal: Optional[str] = None, checkpoint_every: int = 64,
 ):
     """The shared demo/stats/chaos scenario: crawl ``sites`` for ``days``.
 
-    ``executor`` is a spec string (``process:workers=4,batch=64``);
-    ``batch_size`` / ``workers`` / ``queue_depth`` are the individual
-    flag overrides, which win over the spec's own fields (see
-    :mod:`repro.pipeline.executors` for the precedence rules).
+    ``executor`` is a spec string (``process:workers=4,batch=64``); see
+    :mod:`repro.pipeline.executors` for the grammar.
 
     With ``fault_rate`` > 0 the crawl runs under a seeded transient-only
     :class:`~repro.faults.FaultInjector` with a shared dead-letter queue,
@@ -404,9 +379,7 @@ def _run_simulation(
     from .minisql import Database
     from .pipeline.executors import resolve
 
-    spec = resolve(executor).merged(
-        workers=workers, batch=batch_size, queue=queue_depth
-    )
+    spec = resolve(executor)
     step = 3600.0 if fault_rate > 0.0 else 86_400.0
     if fault_rate > 0.0:
         # half-day drain so in-flight retries land
@@ -462,8 +435,7 @@ def _print_fault_summary(system, crawler) -> None:
 def _cmd_demo(args: argparse.Namespace) -> int:
     system, crawler = _run_simulation(
         args.sites, args.days, args.seed,
-        executor=args.executor, batch_size=args.batch_size,
-        workers=args.workers, queue_depth=args.queue_depth,
+        executor=args.executor,
         fault_rate=args.fault_rate, fault_seed=args.fault_seed,
         journal=args.journal, checkpoint_every=args.checkpoint_every,
     )
@@ -487,8 +459,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     system, _crawler = _run_simulation(
         args.sites, args.days, args.seed,
         shards=args.shards, shard_mode=args.shard_mode,
-        executor=args.executor, batch_size=args.batch_size,
-        workers=args.workers, queue_depth=args.queue_depth,
+        executor=args.executor,
         fault_rate=args.fault_rate, fault_seed=args.fault_seed,
         journal=args.journal, checkpoint_every=args.checkpoint_every,
     )
@@ -534,8 +505,7 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     try:
         system, crawler = _run_simulation(
             args.sites, args.days, args.seed,
-            executor=args.executor, batch_size=args.batch_size,
-            workers=args.workers, queue_depth=args.queue_depth,
+            executor=args.executor,
             fault_rate=args.fault_rate, fault_seed=args.fault_seed,
             journal=args.journal, checkpoint_every=args.checkpoint_every,
         )

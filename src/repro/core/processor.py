@@ -117,32 +117,12 @@ class MonitoringQueryProcessor:
         """Match one alert; dispatch and return its notification batch."""
         start = self.metrics.now()
         notifications = self._match(alert)
-        self.dispatch(notifications)
-        self._latency.observe(self.metrics.now() - start)
-        if notifications:
-            self._notified.inc(len(notifications))
-        return notifications
-
-    def match_alert(self, alert: Alert) -> List[Notification]:
-        """Match and account one alert *without* dispatching to sinks.
-
-        The sharded batch fan-out matches each shard's alerts on a worker
-        thread and dispatches in input order afterwards, so downstream
-        consumers see the exact serial sequence; stats and metrics here are
-        identical to :meth:`process_alert`.
-        """
-        start = self.metrics.now()
-        notifications = self._match(alert)
-        self._latency.observe(self.metrics.now() - start)
-        if notifications:
-            self._notified.inc(len(notifications))
-        return notifications
-
-    def dispatch(self, notifications: List[Notification]) -> None:
-        """Forward one non-empty notification batch to every sink."""
         if notifications:
             for sink in self._sinks:
                 sink(notifications)
+            self._notified.inc(len(notifications))
+        self._latency.observe(self.metrics.now() - start)
+        return notifications
 
     def _match(self, alert: Alert) -> List[Notification]:
         now = self.clock.now()

@@ -64,11 +64,10 @@ COUNTER_BREAKER_STATE_CHANGES = "breaker.state_changes"  # label: to
 COUNTER_EXECUTOR_FALLBACKS = "executor.fallbacks"  # label: executor
 COUNTER_DLQ_QUARANTINED = "dlq.quarantined"  # label: source
 
-# Bounded-ingest counters (the queue between the fetch front-end and the
-# batch executor, ``repro.pipeline.ingest``): they appear only when a
-# stream actually runs through the bounded queue.
+# Bounded-ingest counter (the queue between a stream and the batch
+# executor, ``repro.pipeline.ingest``): it appears only when a stream's
+# feeder actually blocks on a full queue.
 COUNTER_INGEST_BACKPRESSURE_WAITS = "ingest.backpressure_waits"
-COUNTER_FRONTEND_FETCHES = "frontend.fetches"
 
 # Crash-recovery counters (``repro.recovery``): lazily interned — they
 # appear only when recovery is enabled on a system (or a process worker
@@ -95,7 +94,6 @@ COUNTER_NAMES: Tuple[str, ...] = (
     COUNTER_EXECUTOR_FALLBACKS,
     COUNTER_DLQ_QUARANTINED,
     COUNTER_INGEST_BACKPRESSURE_WAITS,
-    COUNTER_FRONTEND_FETCHES,
     COUNTER_RECOVERY_CHECKPOINTS,
     COUNTER_RECOVERY_REPLAYED,
     COUNTER_RECOVERY_DEDUPED,

@@ -3,43 +3,31 @@
 from .executor import (
     BatchExecutor,
     DEFAULT_BATCH_SIZE,
-    EXECUTORS,
     ProcessExecutor,
     SerialExecutor,
-    ShardFanoutExecutor,
     ThreadedExecutor,
-    make_executor,
 )
-from .executors import ExecutorSpec, available, create, register
-from .frontend import AsyncFetchFrontend
-from .ingest import BoundedFetchQueue, IngestReport, IngestSession
+from .executors import ExecutorSpec, available, create
+from .ingest import BoundedFetchQueue
 from .stages import FeedResult, PipelineTask
-from .stream import Fetch, chunked, from_pairs, HTML_PAGE, XML_PAGE
+from .stream import Fetch, from_pairs, HTML_PAGE, XML_PAGE
 from .system import SubscriptionSystem
 
 __all__ = [
-    "AsyncFetchFrontend",
     "BatchExecutor",
     "BoundedFetchQueue",
     "DEFAULT_BATCH_SIZE",
-    "EXECUTORS",
     "ExecutorSpec",
     "Fetch",
     "FeedResult",
     "HTML_PAGE",
-    "IngestReport",
-    "IngestSession",
     "PipelineTask",
     "ProcessExecutor",
     "SerialExecutor",
-    "ShardFanoutExecutor",
     "SubscriptionSystem",
     "ThreadedExecutor",
     "XML_PAGE",
     "available",
-    "chunked",
     "create",
     "from_pairs",
-    "make_executor",
-    "register",
 ]

@@ -1,12 +1,11 @@
 """Pluggable batch executors for the staged ingestion pipeline.
 
 The paper's Xyleme scales ingestion by running its Figure 3 stages as
-independent processes; related FPGA/cluster work (see PAPERS.md) scales the
-*match* stage by fanning one document stream across parallel engines.  This
-module gives the reproduction the same seam: a :class:`BatchExecutor` turns
-one batch of :class:`~repro.pipeline.stages.PipelineTask` items into
-completed tasks, and the three implementations trade concurrency for
-simplicity without changing observable behaviour:
+independent processes.  This module gives the reproduction that seam: a
+:class:`BatchExecutor` turns one batch of
+:class:`~repro.pipeline.stages.PipelineTask` items into completed tasks,
+and the three implementations trade concurrency for simplicity without
+changing observable behaviour:
 
 * :class:`SerialExecutor` — the default; byte-for-byte today's one-document-
   at-a-time behaviour, each task running the full lifecycle in input order.
@@ -14,13 +13,9 @@ simplicity without changing observable behaviour:
   detection) out over a shared thread pool, then merges back into input
   order before the stateful load/alert/match stages.  Under the CPython GIL
   this buys overlap rather than raw speedup (the bench records the actual
-  ratio); the ordered merge is what the next PRs' process pools and async
-  crawlers will plug into.
-* :class:`ShardFanoutExecutor` — runs the front half in order, then fans
-  the batch's alerts out across a
-  :class:`~repro.core.sharding.FlowPartitionedProcessor`'s shards
-  concurrently (one worker per occupied shard) instead of the serial
-  shard loop, dispatching notifications in input order afterwards.
+  ratio).
+* :class:`ProcessExecutor` — the same two pure sweeps over a pool of
+  worker processes, with the same ordered merge.
 
 Equivalence contract (property-tested): for the same stream, every
 executor produces the same notification multiset, the same rejection
@@ -29,9 +24,8 @@ accounting and the same document/notification counters as the serial path.
 Every executor observes the same batch metrics: one
 ``executor.stage.latency_seconds{executor=,stage=}`` observation per stage
 per batch (the total time the batch spent in that stage), plus the
-``executor.batch_size`` histogram, ``executor.run_batch.latency_seconds``
-and the ``executor.queue_depth`` gauge maintained by
-:meth:`~repro.pipeline.system.SubscriptionSystem.feed_batch`.
+``executor.batch_size`` histogram and ``executor.run_batch.latency_seconds``
+recorded by :meth:`~repro.pipeline.system.SubscriptionSystem.feed_batch`.
 """
 
 from __future__ import annotations
@@ -39,7 +33,6 @@ from __future__ import annotations
 import os
 import pickle
 import threading
-import warnings
 from concurrent.futures import (
     BrokenExecutor,
     ProcessPoolExecutor,
@@ -47,9 +40,8 @@ from concurrent.futures import (
     TimeoutError as FuturesTimeoutError,
 )
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.sharding import FlowPartitionedProcessor
 from ..errors import PipelineError
 from ..observability.metrics import MetricsRegistry
 from ..observability.names import (
@@ -79,7 +71,8 @@ from .stages import (
     run_stage,
 )
 
-#: Documents per batch when the caller does not choose (``run_stream``).
+#: Documents per stream batch when neither the constructor nor the spec
+#: sets one.
 DEFAULT_BATCH_SIZE = 32
 
 #: Environment variable naming the default executor (CI runs the whole
@@ -155,7 +148,7 @@ class BatchExecutor:
         """Record one degraded-mode fallback to the serial path.
 
         A worker-infrastructure exception (a broken pool, a crashed
-        shard sweep) must degrade the batch to the serial path, not
+        sweep) must degrade the batch to the serial path, not
         abort the stream; every such event is counted under
         ``executor.fallbacks{executor=<name>}``.
         """
@@ -596,126 +589,3 @@ class ProcessExecutor(BatchExecutor):
             self._discard_pool()
         elif isinstance(exc, BrokenExecutor):
             self._discard_pool()
-
-
-class ShardFanoutExecutor(BatchExecutor):
-    """Sharded-parallel match: the batch's alerts fan out across the flow
-    partitioner's shards concurrently instead of the serial shard loop.
-
-    The front half (load/classify/alert) runs in input order; the match
-    sweep groups alerts by owning shard and matches each group on its own
-    worker thread (:meth:`FlowPartitionedProcessor.match_alert_batch`);
-    sink dispatch then happens in input order, so everything downstream of
-    the MQP sees exactly the serial sequence.  On a system without a
-    multi-shard flow partitioner the match sweep degrades to the serial
-    loop.
-    """
-
-    name = "sharded"
-
-    def run_batch(
-        self,
-        system: Any,
-        tasks: List[PipelineTask],
-        stop_on_error: bool = False,
-    ) -> List[PipelineTask]:
-        timer = _StageTimer(system.metrics, self.name)
-        reached = len(tasks)
-        for position, task in enumerate(tasks):
-            raise_if_fatal(task)
-            for stage, step in (
-                (STAGE_LOAD, load_stage),
-                (STAGE_CLASSIFY, classify_stage),
-                (STAGE_ALERT, alert_stage),
-            ):
-                start = timer.start()
-                run_stage(stage, step, system, task)
-                timer.stop(stage, start)
-                if task.error is not None:
-                    break
-            if task.error is not None and stop_on_error:
-                reached = position + 1
-                break
-        live = tasks[:reached]
-
-        matchable = [
-            t for t in live if t.error is None and t.alert is not None
-        ]
-        processor = system.processor
-        start = timer.start()
-        if (
-            isinstance(processor, FlowPartitionedProcessor)
-            and processor.shard_count > 1
-            and len(matchable) > 1
-        ):
-            # A worker exception inside the concurrent shard sweep
-            # degrades this batch to the serial match loop (nothing has
-            # been dispatched yet — match_alert_batch computes every
-            # shard's notifications before any sink fires).
-            try:
-                batches = processor.match_alert_batch(
-                    [task.alert for task in matchable]
-                )
-            except Exception:
-                self._count_fallback(system)
-                batches = None
-            if batches is None:
-                for task in matchable:
-                    run_stage(STAGE_MATCH, match_stage, system, task)
-            else:
-                for task, notifications in zip(matchable, batches):
-                    processor.dispatch(notifications)
-                    task.notifications = notifications
-                    task.stage = STAGE_MATCH
-        else:
-            for task in matchable:
-                run_stage(STAGE_MATCH, match_stage, system, task)
-        timer.stop(STAGE_MATCH, start)
-
-        for task in live:
-            start = timer.start()
-            run_stage(STAGE_ROUTE, route_stage, system, task)
-            timer.stop(STAGE_ROUTE, start)
-        timer.flush()
-        return tasks
-
-
-#: Legacy registry for bare-name specs.  Superseded by the
-#: :mod:`repro.pipeline.executors` registry (which also understands
-#: ``name:key=value,...`` option strings); kept so old callers keep
-#: working.
-EXECUTORS: Dict[str, Callable[[], BatchExecutor]] = {
-    SerialExecutor.name: SerialExecutor,
-    ThreadedExecutor.name: ThreadedExecutor,
-    ProcessExecutor.name: ProcessExecutor,
-    ShardFanoutExecutor.name: ShardFanoutExecutor,
-}
-
-#: One-shot latch for the ``make_executor`` deprecation warning (tests
-#: reset it to assert the warning fires exactly once).
-_MAKE_EXECUTOR_WARNED = False
-
-
-def make_executor(
-    spec: Union[str, BatchExecutor, None] = None,
-) -> BatchExecutor:
-    """Deprecated: use :func:`repro.pipeline.executors.create`.
-
-    The replacement accepts everything this accepted (instances pass
-    through, bare names are looked up, ``None`` falls back to
-    ``$REPRO_EXECUTOR`` and then to serial) plus full
-    ``name:key=value,...`` spec strings.  This shim delegates to it and
-    emits one :class:`DeprecationWarning` per process.
-    """
-    global _MAKE_EXECUTOR_WARNED
-    if not _MAKE_EXECUTOR_WARNED:
-        _MAKE_EXECUTOR_WARNED = True
-        warnings.warn(
-            "repro.pipeline.executor.make_executor is deprecated; use "
-            "repro.pipeline.executors.create (or the repro.api facade)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    from .executors import create
-
-    return create(spec)

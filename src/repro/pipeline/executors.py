@@ -1,11 +1,8 @@
 """The executor registry: one spec grammar for CLI, env and constructor.
 
-Three PRs of growth left executor configuration scattered across
-overlapping knobs — an ``executor=`` constructor kwarg, ``--executor`` /
-``--batch-size`` CLI flags and the ``$REPRO_EXECUTOR`` variable, with the
-process pool about to add workers and queue bounds on top.  This module
-collapses all of it into one :class:`ExecutorSpec` with a single string
-grammar accepted everywhere::
+One :class:`ExecutorSpec` string configures the batch executor
+everywhere — the ``executor=`` constructor kwarg, the ``--executor`` CLI
+flag and the ``$REPRO_EXECUTOR`` variable::
 
     serial
     threaded:workers=4
@@ -15,32 +12,28 @@ grammar accepted everywhere::
 Grammar: ``name[:key=value,...]`` where the keys are
 
 * ``workers`` — parallel lanes for the threaded/process executors;
-* ``batch`` (alias ``batch_size``) — documents per stream batch;
-* ``queue`` (alias ``queue_depth``) — bound of the ingest queue between
-  the fetch front-end and the executor (backpressure);
+* ``batch`` — documents per stream batch;
+* ``queue`` — bound of the ingest queue between the stream and the
+  executor (backpressure);
 * ``detect`` — ``local`` or ``workers``; process executor only;
 * ``watchdog`` — seconds before a hung worker future times the sweep
   out (degrading the batch to the serial path); process executor only.
 
-Precedence, everywhere a spec can meet another source of the same
-setting (most specific wins):
+Precedence for the batch size and queue bound (most specific wins):
 
-1. an explicit individual override — a CLI flag (``--workers``,
-   ``--batch-size``, ``--queue-depth``) or constructor kwarg
-   (``batch_size=``, ``queue_bound=``);
+1. the ``SubscriptionSystem(batch_size=, queue_bound=)`` kwargs;
 2. the field parsed from the spec string;
 3. the ``$REPRO_EXECUTOR`` spec (consulted only when no spec was given);
 4. the built-in default (serial, batch 32, queue 2×batch).
 
 :func:`create` turns a spec (string, :class:`ExecutorSpec`, instance or
-``None``) into a ready :class:`~repro.pipeline.executor.BatchExecutor`;
-:func:`register` adds project-local executors to the same namespace.
+``None``) into a ready :class:`~repro.pipeline.executor.BatchExecutor`.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from ..errors import PipelineError
@@ -49,7 +42,6 @@ from .executor import (
     EXECUTOR_ENV,
     ProcessExecutor,
     SerialExecutor,
-    ShardFanoutExecutor,
     ThreadedExecutor,
 )
 
@@ -57,19 +49,11 @@ __all__ = [
     "ExecutorSpec",
     "available",
     "create",
-    "register",
     "resolve",
 ]
 
-#: Spec keys that take positive integers, with their accepted aliases.
-_INT_KEYS = {
-    "workers": "workers",
-    "batch": "batch",
-    "batch_size": "batch",
-    "queue": "queue",
-    "queue_depth": "queue",
-    "watchdog": "watchdog",
-}
+#: Spec keys that take positive integers.
+_INT_KEYS = ("workers", "batch", "queue", "watchdog")
 
 _DETECT_VALUES = ("local", "workers")
 
@@ -105,7 +89,6 @@ class ExecutorSpec:
                         f" {text!r} (expected key=value)"
                     )
                 if key in _INT_KEYS:
-                    canonical = _INT_KEYS[key]
                     try:
                         number = int(value)
                     except ValueError:
@@ -118,7 +101,7 @@ class ExecutorSpec:
                             f"executor spec option {key!r} must be >= 1,"
                             f" got {number}"
                         )
-                    values[canonical] = number
+                    values[key] = number
                 elif key == "detect":
                     if value.lower() not in _DETECT_VALUES:
                         raise PipelineError(
@@ -127,20 +110,12 @@ class ExecutorSpec:
                         )
                     values["detect"] = value.lower()
                 else:
-                    known = sorted({*(_INT_KEYS), "detect"})
+                    known = sorted((*_INT_KEYS, "detect"))
                     raise PipelineError(
                         f"unknown executor spec option {key!r}"
                         f" (choose from {', '.join(known)})"
                     )
         return cls(name=name, **values)
-
-    def merged(self, **overrides) -> "ExecutorSpec":
-        """A copy with every non-``None`` override applied (overrides win
-        over spec fields — precedence rule 1)."""
-        changes = {
-            key: value for key, value in overrides.items() if value is not None
-        }
-        return replace(self, **changes) if changes else self
 
     def render(self) -> str:
         """The canonical spec string (parse/render round-trips)."""
@@ -156,37 +131,21 @@ class ExecutorSpec:
         return f"{self.name}:{','.join(options)}"
 
 
-def _reject_workers(spec: ExecutorSpec) -> None:
-    if spec.workers is not None:
-        raise PipelineError(
-            f"executor {spec.name!r} takes no workers= option"
-        )
-
-
-def _reject_detect(spec: ExecutorSpec) -> None:
-    if spec.detect is not None:
-        raise PipelineError(
-            f"executor {spec.name!r} takes no detect= option"
-        )
-
-
-def _reject_watchdog(spec: ExecutorSpec) -> None:
-    if spec.watchdog is not None:
-        raise PipelineError(
-            f"executor {spec.name!r} takes no watchdog= option"
-        )
+def _reject(spec: ExecutorSpec, *options: str) -> None:
+    for option in options:
+        if getattr(spec, option) is not None:
+            raise PipelineError(
+                f"executor {spec.name!r} takes no {option}= option"
+            )
 
 
 def _build_serial(spec: ExecutorSpec) -> BatchExecutor:
-    _reject_workers(spec)
-    _reject_detect(spec)
-    _reject_watchdog(spec)
+    _reject(spec, "workers", "detect", "watchdog")
     return SerialExecutor()
 
 
 def _build_threaded(spec: ExecutorSpec) -> BatchExecutor:
-    _reject_detect(spec)
-    _reject_watchdog(spec)
+    _reject(spec, "detect", "watchdog")
     return ThreadedExecutor(max_workers=spec.workers)
 
 
@@ -198,31 +157,11 @@ def _build_process(spec: ExecutorSpec) -> BatchExecutor:
     )
 
 
-def _build_sharded(spec: ExecutorSpec) -> BatchExecutor:
-    _reject_workers(spec)
-    _reject_detect(spec)
-    _reject_watchdog(spec)
-    return ShardFanoutExecutor()
-
-
 _FACTORIES: Dict[str, Callable[[ExecutorSpec], BatchExecutor]] = {
     SerialExecutor.name: _build_serial,
     ThreadedExecutor.name: _build_threaded,
     ProcessExecutor.name: _build_process,
-    ShardFanoutExecutor.name: _build_sharded,
 }
-
-
-def register(
-    name: str, factory: Callable[[ExecutorSpec], BatchExecutor]
-) -> None:
-    """Add (or replace) an executor factory under ``name``.
-
-    ``factory`` receives the fully merged :class:`ExecutorSpec` and
-    returns a ready executor; the name becomes valid in every spec
-    string (CLI, env, constructor).
-    """
-    _FACTORIES[name.strip().lower()] = factory
 
 
 def available() -> Tuple[str, ...]:
@@ -247,17 +186,15 @@ def resolve(
 
 def create(
     spec: Union[str, ExecutorSpec, BatchExecutor, None] = None,
-    **overrides,
 ) -> BatchExecutor:
     """Build a :class:`BatchExecutor` from any accepted spec form.
 
     An instance passes through untouched; anything else goes through
-    :func:`resolve` + :meth:`ExecutorSpec.merged` (keyword overrides win
-    over spec fields) and the registered factory for the name.
+    :func:`resolve` and the registered factory for the name.
     """
     if isinstance(spec, BatchExecutor):
         return spec
-    resolved = resolve(spec).merged(**overrides)
+    resolved = resolve(spec)
     factory = _FACTORIES.get(resolved.name)
     if factory is None:
         known = ", ".join(available())

@@ -1,47 +1,35 @@
-"""Bounded-backpressure ingestion: the queue and the session facade.
+"""Bounded-backpressure ingestion: the queue between a stream and the executor.
 
 The paper's Xyleme separates *acquisition* (crawlers fetching millions of
 pages per day) from *monitoring* (the Figure 3 pipeline); between the two
 sits a buffer that must not grow without limit when the pipeline is the
-slow side.  This module is that seam for the reproduction:
+slow side.  :class:`BoundedFetchQueue` is that buffer: a thread-safe
+queue of :class:`~repro.pipeline.stream.Fetch` items with a hard bound.
+Producers block when the queue is full (each blocking put is counted
+under ``ingest.backpressure_waits``), so a slow executor throttles the
+fetch rate instead of buffering the crawl.  The queue is the only writer
+of the ``executor.queue_depth`` gauge, which therefore reads the number
+of fetches waiting and can saturate at the bound.
 
-* :class:`BoundedFetchQueue` — a thread-safe queue of
-  :class:`~repro.pipeline.stream.Fetch` items with a hard bound.
-  Producers block when the queue is full (each blocking put is counted
-  under ``ingest.backpressure_waits``), so a slow executor throttles the
-  fetch rate instead of buffering the crawl; the
-  ``executor.queue_depth`` gauge tracks the depth and can therefore
-  actually saturate at the bound.
-* :class:`IngestSession` — the unified front door for feeding documents.
-  ``feed`` / ``feed_batch`` / ``run`` / ``run_crawl`` replace the
-  overlapping constructor kwargs, env vars and CLI flags that accreted
-  across PRs 1–3 with one object configured by a single
-  :class:`~repro.pipeline.executors.ExecutorSpec`.
-
-``SubscriptionSystem.run_stream`` now routes through an
-:class:`IngestSession` (a feeder thread fills the bounded queue while the
-executor drains it), so every stream — plain iterables and the asyncio
-fetch front-end alike — gets the same backpressure and the same
-per-document rejection semantics as before.
+:meth:`~repro.pipeline.system.SubscriptionSystem.run_stream` drives it:
+a feeder thread runs :meth:`BoundedFetchQueue.fill` over the stream while
+the caller's thread drains batches into ``feed_batch``.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import deque
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional
+from typing import Any, Iterable, List, Optional
 
-from ..errors import PipelineError, RecoveryError
-from ..faults.killpoints import KILL_POINT_POST_FETCH, maybe_kill
+from ..errors import PipelineError
 from ..observability.names import (
     COUNTER_INGEST_BACKPRESSURE_WAITS,
     GAUGE_EXECUTOR_QUEUE_DEPTH,
 )
-from .stages import FeedResult
 from .stream import Fetch
 
-__all__ = ["BoundedFetchQueue", "IngestCancelled", "IngestReport", "IngestSession"]
+__all__ = ["BoundedFetchQueue", "IngestCancelled"]
 
 
 class IngestCancelled(Exception):
@@ -49,25 +37,16 @@ class IngestCancelled(Exception):
     the feeder catches it and stops consuming the stream)."""
 
 
-@dataclass
-class IngestReport:
-    """What one streaming run did, beyond its per-document results."""
-
-    documents: int
-    batches: int
-    peak_queue_depth: int
-    backpressure_waits: int
-
-
 class BoundedFetchQueue:
     """A bounded, thread-safe fetch buffer with backpressure.
 
-    One producer side (``put`` / ``close`` / ``fail``), one consumer side
-    (``next_batch``).  ``put`` blocks while the queue holds ``bound``
-    items; ``next_batch`` blocks until a full batch is available or the
-    stream ends, and re-raises a producer failure after the full batches
-    before it have been served (matching the old ``chunked`` semantics,
-    where a stream error lost only the partially accumulated batch).
+    One producer side (``put`` / ``close`` / ``fail``, or ``fill`` for a
+    whole stream), one consumer side (``next_batch`` / ``cancel``).
+    ``put`` blocks while the queue holds ``bound`` items; ``next_batch``
+    blocks until a full batch is available or the stream ends, and
+    re-raises a producer failure after the full batches before it have
+    been served (a stream error loses only the partially accumulated
+    batch).
     """
 
     def __init__(self, bound: int, metrics: Optional[Any] = None):
@@ -88,8 +67,8 @@ class BoundedFetchQueue:
             if metrics is not None
             else None
         )
-        # Interned on first actual wait so streams that never block keep
-        # their metric snapshot identical to the plain feed_batch path.
+        # The backpressure counter is interned on the first actual wait,
+        # so streams that never block carry no such series.
         self._metrics = metrics
 
     def __len__(self) -> int:
@@ -123,6 +102,23 @@ class BoundedFetchQueue:
                 self.peak_depth = depth
             self._set_gauge()
             self._not_empty.notify()
+
+    def fill(self, stream: Iterable[Fetch]) -> None:
+        """Put every fetch of ``stream``, then close the queue.
+
+        The feeder thread's body: an error raised by the stream fails the
+        queue (the consumer re-raises it), and a consumer-side
+        :meth:`cancel` ends the loop quietly.
+        """
+        try:
+            for fetch in stream:
+                self.put(fetch)
+        except IngestCancelled:
+            return
+        except BaseException as exc:  # noqa: BLE001 — re-raised by consumer
+            self.fail(exc)
+            return
+        self.close()
 
     def close(self) -> None:
         """Mark the stream exhausted; pending items remain consumable."""
@@ -173,204 +169,7 @@ class BoundedFetchQueue:
             if batch is not None:
                 return batch
             if self._failure is not None:
-                # The partially accumulated tail is lost, exactly as it
-                # was with eager chunking.
+                # The partially accumulated tail is lost.
                 self._items.clear()
                 raise self._failure
             return None
-
-
-class IngestSession:
-    """One configured way of feeding documents into a system.
-
-    Unifies the feeding surface that previously spread across
-    ``feed``/``feed_batch``/``run_stream`` keyword arguments::
-
-        from repro.api import IngestSession, SubscriptionSystem
-
-        system = SubscriptionSystem(executor="process:workers=4")
-        with IngestSession(system, batch_size=64, queue_bound=128) as s:
-            s.run(stream)                  # any iterable of Fetch items
-            s.run_crawl(crawler)           # asyncio fetch front-end
-            print(s.last_report)
-
-    ``batch_size`` / ``queue_bound`` / ``skip_malformed`` default to the
-    system's configuration (itself derived from its
-    :class:`~repro.pipeline.executors.ExecutorSpec`).  Closing the
-    session releases the executor's worker pool only when
-    ``own_executor=True`` (the session was handed a system built just
-    for it).
-    """
-
-    def __init__(
-        self,
-        system: Any,
-        *,
-        batch_size: Optional[int] = None,
-        queue_bound: Optional[int] = None,
-        skip_malformed: bool = True,
-        own_executor: bool = False,
-    ):
-        self.system = system
-        self.batch_size = (
-            int(batch_size) if batch_size is not None else system.batch_size
-        )
-        if self.batch_size < 1:
-            raise PipelineError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        default_bound = getattr(system, "queue_bound", None)
-        if queue_bound is not None:
-            self.queue_bound = int(queue_bound)
-        elif default_bound is not None:
-            self.queue_bound = max(int(default_bound), self.batch_size)
-        else:
-            self.queue_bound = 2 * self.batch_size
-        if self.queue_bound < self.batch_size:
-            raise PipelineError(
-                f"queue_bound ({self.queue_bound}) must be >= batch_size"
-                f" ({self.batch_size}) or full batches could never form"
-            )
-        self.skip_malformed = skip_malformed
-        self.own_executor = own_executor
-        self.last_report: Optional[IngestReport] = None
-
-    # -- single documents and prebuilt batches ----------------------------
-
-    def feed(self, fetch: Fetch) -> FeedResult:
-        """One document, no executor, failures propagate (as ``feed``
-        always did)."""
-        return self.system.feed(fetch)
-
-    def feed_batch(self, fetches: Iterable[Fetch]) -> List[FeedResult]:
-        """One prebuilt batch through the configured executor."""
-        return self.system.feed_batch(
-            fetches, skip_malformed=self.skip_malformed
-        )
-
-    # -- streams ----------------------------------------------------------
-
-    def run(self, stream: Iterable[Fetch]) -> List[FeedResult]:
-        """Feed a whole stream through the bounded queue.
-
-        A feeder thread fills the queue (blocking at ``queue_bound``)
-        while this thread drains batches of ``batch_size`` into
-        ``feed_batch`` — so ``executor.queue_depth`` reflects real
-        buffering and saturates at the bound instead of batches being
-        chunked back-to-back.
-        """
-
-        def produce(queue: BoundedFetchQueue) -> None:
-            for fetch in stream:
-                queue.put(fetch)
-
-        return self._run_with_producer(produce)
-
-    def run_crawl(
-        self,
-        crawler: Any,
-        *,
-        concurrency: int = 8,
-        latency: Optional[Callable[[Fetch], float]] = None,
-    ) -> List[FeedResult]:
-        """Drain a crawler's due fetches through the asyncio front-end.
-
-        ``concurrency`` parallel fetch coroutines pull from
-        ``crawler.due_fetches()`` and fill the bounded queue as their
-        (simulated) responses arrive; see
-        :class:`~repro.pipeline.frontend.AsyncFetchFrontend`.
-        """
-        from .frontend import AsyncFetchFrontend
-
-        frontend = AsyncFetchFrontend(
-            crawler,
-            concurrency=concurrency,
-            latency=latency,
-            metrics=self.system.metrics,
-        )
-        return self._run_with_producer(frontend.pump)
-
-    def resume(self, stream: Iterable[Fetch]) -> List[FeedResult]:
-        """Continue a recovered system's ingestion from its checkpoint.
-
-        Identical to :meth:`run`, but guarded: the system must carry a
-        :class:`~repro.recovery.RecoveryManager` (attach one with
-        ``SubscriptionSystem.recover_runtime``), so the regenerated
-        post-checkpoint deliveries dedup against the journal instead of
-        being journaled — and therefore delivered — twice.
-        """
-        if getattr(self.system, "recovery", None) is None:
-            raise RecoveryError(
-                "resume() needs a recovered system: call"
-                " SubscriptionSystem.recover_runtime() first (or use"
-                " run() for a fresh stream)"
-            )
-        return self.run(stream)
-
-    def _run_with_producer(
-        self, produce: Callable[[BoundedFetchQueue], Any]
-    ) -> List[FeedResult]:
-        queue = BoundedFetchQueue(self.queue_bound, metrics=self.system.metrics)
-
-        def feeder() -> None:
-            try:
-                produce(queue)
-            except IngestCancelled:
-                return
-            except BaseException as exc:  # noqa: BLE001 — re-raised by consumer
-                queue.fail(exc)
-                return
-            queue.close()
-
-        thread = threading.Thread(
-            target=feeder, name="repro-ingest-feeder", daemon=True
-        )
-        recovery = getattr(self.system, "recovery", None)
-        if recovery is not None:
-            # Checkpoints are deferred while the stream is live: the
-            # feeder thread mutates crawler/frontend state concurrently,
-            # so mid-stream runtime snapshots would not be sound.
-            recovery.stream_started()
-        thread.start()
-        results: List[FeedResult] = []
-        batches = 0
-        try:
-            while True:
-                batch = queue.next_batch(self.batch_size)
-                if batch is None:
-                    break
-                maybe_kill(KILL_POINT_POST_FETCH)
-                results.extend(
-                    self.system.feed_batch(
-                        batch, skip_malformed=self.skip_malformed
-                    )
-                )
-                batches += 1
-        except BaseException:
-            queue.cancel()
-            thread.join()
-            if recovery is not None:
-                recovery.stream_aborted()
-            raise
-        thread.join()
-        if recovery is not None:
-            recovery.stream_finished()
-        self.last_report = IngestReport(
-            documents=len(results),
-            batches=batches,
-            peak_queue_depth=queue.peak_depth,
-            backpressure_waits=queue.backpressure_waits,
-        )
-        return results
-
-    # -- lifecycle --------------------------------------------------------
-
-    def close(self) -> None:
-        if self.own_executor:
-            self.system.executor.close()
-
-    def __enter__(self) -> "IngestSession":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

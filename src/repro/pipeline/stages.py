@@ -23,8 +23,8 @@ isolation, exactly as ``run_stream`` always promised).  Any other exception
 type is a programming error and propagates.
 
 Executors (:mod:`repro.pipeline.executor`) decide *how* tasks move through
-the stages — strictly one at a time, with the pure stages fanned out over a
-thread pool, or with the match stage sharded — but every executor runs the
+the stages — strictly one at a time, or with the pure stages fanned out
+over a thread or process pool — but every executor runs the
 stateful stages in input order, which is what makes them observably
 equivalent.
 """

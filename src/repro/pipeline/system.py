@@ -8,10 +8,16 @@ Subscription Manager to the Reporter and the Trigger Engine, and reports
 leave through the email sink / web publisher.
 
 Documents travel through the staged pipeline of
-:mod:`repro.pipeline.stages`; single pages go through :meth:`feed_xml` /
-:meth:`feed_html`, whole crawls through :meth:`feed_batch` /
-:meth:`run_stream`, which hand each batch to the pluggable
-:class:`~repro.pipeline.executor.BatchExecutor` (serial by default).
+:mod:`repro.pipeline.stages` by one of three calls, each with its own
+contract:
+
+* :meth:`feed` (and :meth:`feed_xml` / :meth:`feed_html`) — one
+  document, no executor; a rejection raises;
+* :meth:`feed_batch` — one batch through the pluggable
+  :class:`~repro.pipeline.executor.BatchExecutor` (serial by default),
+  with a per-document error slot;
+* :meth:`run_stream` — a whole stream through the bounded ingest queue,
+  one :meth:`feed_batch` per batch.
 
 This is the facade examples and integration tests use::
 
@@ -24,6 +30,7 @@ This is the facade examples and integration tests use::
 
 from __future__ import annotations
 
+import threading
 from typing import Any, Callable, Iterable, List, Optional, Tuple, Union
 
 from ..alerters.chain import AlerterChain
@@ -36,13 +43,13 @@ from ..core.sharding import (
 )
 from ..errors import PipelineError, ReportingError
 from ..faults.dlq import DeadLetterEntry, DeadLetterQueue, SOURCE_PIPELINE
+from ..faults.killpoints import KILL_POINT_POST_FETCH, maybe_kill
 from ..minisql import Database
 from ..observability.metrics import MetricsRegistry, split_key
 from ..observability.names import (
     COUNTER_DOCUMENTS_FED,
     COUNTER_DOCUMENTS_REJECTED,
     COUNTER_NOTIFICATIONS_EMITTED,
-    GAUGE_EXECUTOR_QUEUE_DEPTH,
     GAUGE_SUBSCRIPTIONS,
     HISTOGRAM_BATCH_SIZE,
     STAGE_EXECUTOR_RUN_BATCH,
@@ -66,6 +73,7 @@ from .executor import (
     DEFAULT_BATCH_SIZE,
 )
 from .executors import ExecutorSpec, create as _create_executor, resolve
+from .ingest import BoundedFetchQueue
 from .stages import FeedResult, LIFECYCLE, PipelineTask
 from .stream import Fetch, HTML_PAGE, XML_PAGE
 
@@ -115,7 +123,8 @@ class SubscriptionSystem:
         ``None`` for ``$REPRO_EXECUTOR`` / serial.  ``batch_size`` and
         ``queue_bound`` (the ingest-queue bound used by
         :meth:`run_stream`) override the spec's ``batch=`` / ``queue=``
-        fields; the defaults are 32 and 2x the batch size.
+        fields; the defaults are 32 and 2x the batch size.  They are the
+        only place these two settings are made.
 
         ``dead_letters`` quarantines pages the loader rejects instead of
         silently dropping them: each rejected fetch becomes a
@@ -229,7 +238,6 @@ class SubscriptionSystem:
         # Batch metrics are interned on the first feed_batch call so a
         # system fed only through the single-document path keeps a snapshot
         # free of executor series.
-        self._queue_gauge = None
         self._batch_size_histogram = None
         self._run_batch_latency = None
 
@@ -267,6 +275,7 @@ class SubscriptionSystem:
         return self._feed_one(Fetch(url=url, content=content, kind=HTML_PAGE))
 
     def feed(self, fetch: Fetch) -> FeedResult:
+        """One document through every stage; a rejection raises."""
         return self._feed_one(fetch)
 
     def _feed_one(self, fetch: Fetch) -> FeedResult:
@@ -291,10 +300,8 @@ class SubscriptionSystem:
         the first rejection is raised and no later page in the batch enters
         the stateful stages.
 
-        Batch observability: one ``executor.batch_size`` observation, one
-        ``executor.run_batch.latency_seconds{executor=...}`` span, and the
-        ``executor.queue_depth`` gauge holds the in-flight batch size while
-        the executor runs.
+        Batch observability: one ``executor.batch_size`` observation and
+        one ``executor.run_batch.latency_seconds{executor=...}`` span.
         """
         tasks = [
             PipelineTask(fetch=fetch, index=index)
@@ -303,7 +310,6 @@ class SubscriptionSystem:
         if not tasks:
             return []
         if self._batch_size_histogram is None:
-            self._queue_gauge = self.metrics.gauge(GAUGE_EXECUTOR_QUEUE_DEPTH)
             self._batch_size_histogram = self.metrics.histogram(
                 HISTOGRAM_BATCH_SIZE,
                 BATCH_SIZE_BUCKETS,
@@ -314,7 +320,6 @@ class SubscriptionSystem:
                 executor=self.executor.name,
             )
         self._batch_size_histogram.observe(len(tasks))
-        self._queue_gauge.set(len(tasks))
         start = self.metrics.now()
         try:
             self.executor.run_batch(
@@ -322,7 +327,6 @@ class SubscriptionSystem:
             )
         finally:
             self._run_batch_latency.observe(self.metrics.now() - start)
-            self._queue_gauge.set(0)
         results: List[FeedResult] = []
         for task in tasks:
             if task.error is not None:
@@ -352,39 +356,63 @@ class SubscriptionSystem:
         return results
 
     def run_stream(
-        self,
-        stream: Iterable[Fetch],
-        skip_malformed: bool = True,
-        batch_size: Optional[int] = None,
-        queue_bound: Optional[int] = None,
+        self, stream: Iterable[Fetch], skip_malformed: bool = True
     ) -> List[FeedResult]:
         """Feed a whole stream through the bounded ingest queue.
 
         A feeder thread drains ``stream`` into a
-        :class:`~repro.pipeline.ingest.BoundedFetchQueue` of ``queue_bound``
-        items (default: the system's ``queue_bound``) while this thread
-        consumes batches of ``batch_size`` (default: the system's
-        ``batch_size``) via :meth:`feed_batch` — so a slow executor
-        throttles the stream (``ingest.backpressure_waits``) instead of
-        buffering it, and ``executor.queue_depth`` can genuinely saturate.
+        :class:`~repro.pipeline.ingest.BoundedFetchQueue` of
+        ``queue_bound`` items while this thread takes batches of
+        ``batch_size`` and hands each to :meth:`feed_batch` — so a slow
+        executor throttles the stream (``ingest.backpressure_waits``)
+        instead of buffering it, and ``executor.queue_depth`` reads the
+        fetches waiting.
 
-        Per-document semantics are unchanged from eager chunking: with
-        ``skip_malformed`` (the default) a page the loader rejects — any
-        :class:`~repro.errors.ReproError` subclass it raises, not only
+        With ``skip_malformed`` (the default) a page the loader rejects —
+        any :class:`~repro.errors.ReproError` subclass it raises, not only
         :class:`~repro.errors.XMLSyntaxError` — is counted
         (``documents_rejected``, plus a
         ``pipeline.documents_rejected{reason=...}`` metric recording the
-        error class) and skipped rather than aborting the stream.
+        error class) and skipped rather than aborting the stream.  An
+        error raised by the stream itself surfaces after the full batches
+        before it; the partial batch it interrupted is lost.  If this
+        thread raises, the feeder is cancelled and joined before the
+        error propagates.
         """
-        from .ingest import IngestSession
-
-        session = IngestSession(
-            self,
-            batch_size=batch_size,
-            queue_bound=queue_bound,
-            skip_malformed=skip_malformed,
+        queue = BoundedFetchQueue(self.queue_bound, metrics=self.metrics)
+        feeder = threading.Thread(
+            target=queue.fill,
+            args=(stream,),
+            name="repro-ingest-feeder",
+            daemon=True,
         )
-        return session.run(stream)
+        recovery = self.recovery
+        if recovery is not None:
+            # Checkpoints are deferred while the stream is live: the
+            # feeder thread mutates crawler state concurrently, so
+            # mid-stream runtime snapshots would not be sound.
+            recovery.stream_started()
+        feeder.start()
+        results: List[FeedResult] = []
+        try:
+            while True:
+                batch = queue.next_batch(self.batch_size)
+                if batch is None:
+                    break
+                maybe_kill(KILL_POINT_POST_FETCH)
+                results.extend(
+                    self.feed_batch(batch, skip_malformed=skip_malformed)
+                )
+        except BaseException:
+            queue.cancel()
+            feeder.join()
+            if recovery is not None:
+                recovery.stream_aborted()
+            raise
+        feeder.join()
+        if recovery is not None:
+            recovery.stream_finished()
+        return results
 
     def requeue_dead_letters(self) -> Tuple[int, int]:
         """Replay every quarantined document through the pipeline.

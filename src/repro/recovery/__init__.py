@@ -21,8 +21,8 @@ Three pieces:
   journal is an exactly-once channel.
 
 Entry points: ``SubscriptionSystem.enable_recovery()`` /
-``SubscriptionSystem.recover_runtime()``, ``IngestSession.resume()`` and
-the ``repro-monitor resume`` CLI subcommand.  The deterministic crash
+``SubscriptionSystem.recover_runtime()`` (then ``run_stream`` feeds the
+remaining stream) and the ``repro-monitor resume`` CLI subcommand.  The deterministic crash
 harness lives in :mod:`repro.faults.killpoints`.  See
 docs/ROBUSTNESS.md, "Crash recovery & exactly-once delivery".
 """

@@ -10,10 +10,10 @@ One manager attaches to one :class:`~repro.pipeline.system.SubscriptionSystem`
 * **checkpoint periodically** — every ``checkpoint_every`` ingested
   batches it captures the full runtime
   (:func:`repro.recovery.state.capture_runtime`) and compacts the
-  journal.  Checkpoints only happen at stream-quiescent points: while an
-  :class:`~repro.pipeline.ingest.IngestSession` stream is active the
-  checkpoint is deferred to stream end (the feeder thread would race the
-  crawler state otherwise);
+  journal.  Checkpoints only happen at stream-quiescent points: while a
+  :meth:`~repro.pipeline.system.SubscriptionSystem.run_stream` stream is
+  active the checkpoint is deferred to stream end (the feeder thread
+  would race the crawler state otherwise);
 * **dedup on resume** — after a crash, ``recover_runtime`` reloads the
   journal; the resumed run rewinds to the checkpoint and regenerates the
   post-checkpoint window, and the manager recognises the recomputed

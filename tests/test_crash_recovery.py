@@ -21,7 +21,6 @@ from repro.clock import SimulatedClock
 from repro.minisql import Database
 from repro.pipeline import (
     Fetch,
-    ShardFanoutExecutor,
     SubscriptionSystem,
     ThreadedExecutor,
 )
@@ -156,22 +155,6 @@ class TestDegradedExecutors:
         counters = system.metrics_snapshot()["counters"]
         assert counters["executor.fallbacks{executor=threaded}"] >= 1
 
-    def test_sharded_worker_crash_falls_back_to_serial(self):
-        system = build_system(ShardFanoutExecutor(), shards=4)
-
-        def broken_fanout(alerts):
-            raise RuntimeError("simulated shard worker crash")
-
-        system.processor.match_alert_batch = broken_fanout
-        baseline = build_system("serial", shards=4)
-        results = system.run_stream(stream())
-        expected = baseline.run_stream(stream())
-
-        assert notification_keys(results) == notification_keys(expected)
-        assert system.documents_fed == baseline.documents_fed
-        counters = system.metrics_snapshot()["counters"]
-        assert counters["executor.fallbacks{executor=sharded}"] >= 1
-
     def test_partial_sweep_crash_is_safe_to_rerun(self):
         """A sweep that dies *after* processing some tasks must still
         produce serial-identical results (the stages are idempotent)."""
@@ -196,7 +179,7 @@ class TestDegradedExecutors:
         assert notification_keys(results) == notification_keys(expected)
 
     def test_healthy_executors_never_count_fallbacks(self):
-        for executor, shards in (("threaded", 1), ("sharded", 4)):
+        for executor, shards in (("threaded", 1), ("threaded", 4)):
             system = build_system(executor, shards=shards)
             system.run_stream(stream())
             counters = system.metrics_snapshot()["counters"]

@@ -7,6 +7,55 @@ import pytest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: Names removed from the public surface; none may be exported again.
+REMOVED_EXPORTS = (
+    "AsyncFetchFrontend",
+    "EXECUTORS",
+    "IngestReport",
+    "IngestSession",
+    "ShardFanoutExecutor",
+    "chunked",
+    "make_executor",
+    "register",
+    "register_executor",
+)
+
+#: Removed names the user-facing docs may no longer mention, not even in
+#: the PIPELINE.md removal table, which describes them instead (CHANGES.md
+#: and the EXPERIMENTS history keep them).
+REMOVED_DOC_PATTERNS = (
+    r"ShardFanout",
+    r"AsyncFetchFrontend",
+    r"IngestSession",
+    r"IngestReport",
+    r"make_executor",
+    r"run_crawl",
+    r"match_alert_batch",
+    r"frontend.fetches",
+    r"register_executor",
+    r"--batch-size",
+    r"--queue-depth",
+)
+
+#: (old surface, replacement) pairs the PIPELINE.md removal table pins.
+REMOVED_SURFACE_ROWS = (
+    ("`sharded` executor", "`shards=N`"),
+    ("`repro.pipeline.frontend`", "`run_stream(crawler.due_fetches())`"),
+    ("ingest session facade", "`SubscriptionSystem.run_stream`"),
+    ("front-end's fetch counter", "`pipeline.documents_fed`"),
+    ("`EXECUTORS`", "`available()`"),
+    ("`executors.register`", "none"),
+    ("`stream.chunked`", "`run_stream`"),
+    ("`ExecutorSpec.merged`", "`SubscriptionSystem(batch_size=, queue_bound=)`"),
+    ("`batch_size=`", "`batch=`"),
+    (
+        "`run_stream(batch_size=, queue_bound=)`",
+        "`SubscriptionSystem(batch_size=, queue_bound=)`",
+    ),
+    ("CLI flags for batch size", "`--executor"),
+    ("`MonitoringQueryProcessor.match_alert`", "`process_alert`"),
+)
+
 
 def read(relative):
     with open(os.path.join(ROOT, relative), encoding="utf-8") as handle:
@@ -84,22 +133,39 @@ class TestPipelineDocument:
         for name in available():
             assert f"`{name}`" in doc, f"executor {name} missing"
 
-    def test_migration_table_present(self):
+    def test_removal_table_present(self):
         doc = read("docs/PIPELINE.md")
-        assert "## Migration from the pre-registry API" in doc
-        for old, new in [
-            ("make_executor", "repro.pipeline.executors.create"),
-            ("--executor threaded --batch-size 64", "threaded:batch=64"),
-            ("EXECUTORS", "available()"),
-        ]:
-            assert old in doc and new in doc, f"migration row {old!r} missing"
+        assert "## Removed surface" in doc
+        table = doc.split("## Removed surface", 1)[1].split("\n## ", 1)[0]
+        rows = [line for line in table.splitlines() if "|" in line]
+        for old, new in REMOVED_SURFACE_ROWS:
+            assert any(
+                old in row and new in row for row in rows
+            ), f"removal row {old!r} -> {new!r} missing"
+
+    def test_removed_names_are_gone(self):
+        import repro.api
+        import repro.pipeline
+
+        exported = set(repro.api.__all__) | set(repro.pipeline.__all__)
+        assert not exported & set(REMOVED_EXPORTS)
+        pattern = re.compile("|".join(REMOVED_DOC_PATTERNS))
+        paths = ["README.md", "DESIGN.md"] + [
+            os.path.join("docs", name)
+            for name in sorted(os.listdir(os.path.join(ROOT, "docs")))
+        ]
+        for path in paths:
+            for number, line in enumerate(read(path).splitlines(), 1):
+                assert not pattern.search(line), (
+                    f"{path}:{number} names removed surface: {line.strip()}"
+                )
 
     def test_documented_spec_examples_parse(self):
         from repro.pipeline.executors import ExecutorSpec
 
         doc = read("docs/PIPELINE.md")
         specs = re.findall(
-            r"^((?:serial|threaded|process|sharded)(?::[a-z_]+=\w+"
+            r"^((?:serial|threaded|process)(?::[a-z_]+=\w+"
             r"(?:,[a-z_]+=\w+)*)?)$",
             doc,
             re.MULTILINE,
@@ -120,13 +186,13 @@ class TestPipelineDocument:
 
     def test_ingest_metrics_mentioned(self):
         from repro.observability.names import (
-            COUNTER_FRONTEND_FETCHES,
             COUNTER_INGEST_BACKPRESSURE_WAITS,
+            GAUGE_EXECUTOR_QUEUE_DEPTH,
         )
 
         doc = read("docs/PIPELINE.md")
         assert COUNTER_INGEST_BACKPRESSURE_WAITS in doc
-        assert COUNTER_FRONTEND_FETCHES in doc
+        assert GAUGE_EXECUTOR_QUEUE_DEPTH in doc
 
     def test_readme_links_pipeline_doc(self):
         assert "docs/PIPELINE.md" in read("README.md")

@@ -1,22 +1,20 @@
-"""The redesigned ingest API: spec grammar, bounded queue, facade, shims.
+"""The ingest API: spec grammar, bounded queue, run_stream, facade.
 
-Pins the four public-surface promises of the executor/ingest redesign:
+Pins the public-surface promises of the executor/ingest layer:
 
 * one :class:`ExecutorSpec` grammar accepted by CLI, env and constructor,
-  with documented precedence (flag/kwarg > spec field > env > default);
-* ``run_stream`` routes through the bounded queue — ``executor.queue_depth``
-  can genuinely saturate (peak <= bound, backpressure counted) while the
-  rejection semantics of the old eager-chunking path stay bit-identical;
-* ``repro.api`` is the stable facade and the old entry points warn;
-* the asyncio fetch front-end drains a crawler concurrently into the
-  same queue.
+  with documented precedence (kwarg > spec field > env > default);
+* ``run_stream`` routes through the bounded queue — the queue alone
+  writes ``executor.queue_depth``, backpressure is counted, a failing
+  consumer unwinds the feeder thread, and the rejection semantics stay
+  per-document;
+* ``repro.api`` is the stable facade.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-import warnings
 
 import pytest
 
@@ -26,16 +24,12 @@ from repro.pipeline import (
     BoundedFetchQueue,
     ExecutorSpec,
     Fetch,
-    IngestSession,
     ProcessExecutor,
     SerialExecutor,
-    ShardFanoutExecutor,
     SubscriptionSystem,
     ThreadedExecutor,
     from_pairs,
-    make_executor,
 )
-from repro.pipeline import executor as executor_module
 from repro.pipeline.executors import available, create, resolve
 
 SOURCE = """
@@ -78,8 +72,12 @@ class TestExecutorSpec:
         assert spec.queue == 128
 
     def test_aliases_and_whitespace(self):
-        spec = ExecutorSpec.parse(" threaded : batch_size = 8 , queue_depth=16 ")
+        spec = ExecutorSpec.parse(" threaded : batch = 8 , queue=16 ")
         assert spec == ExecutorSpec(name="threaded", batch=8, queue=16)
+        # Each key has exactly one name.
+        for alias in ("batch_size=8", "queue_depth=16"):
+            with pytest.raises(PipelineError, match="unknown executor spec"):
+                ExecutorSpec.parse(f"threaded:{alias}")
 
     def test_detect_option(self):
         assert ExecutorSpec.parse("process:detect=local").detect == "local"
@@ -106,17 +104,9 @@ class TestExecutorSpec:
         for text in ("serial", "process:workers=4,batch=64,queue=128"):
             assert ExecutorSpec.parse(text).render() == text
 
-    def test_merged_overrides_win(self):
-        spec = ExecutorSpec.parse("process:workers=4,batch=64")
-        merged = spec.merged(workers=8, queue=256, batch=None)
-        assert merged.workers == 8  # override wins
-        assert merged.batch == 64  # None override leaves the spec field
-        assert merged.queue == 256
-
     def test_create_builds_each_registered_executor(self):
-        assert set(available()) >= {"serial", "threaded", "process", "sharded"}
+        assert available() == ("process", "serial", "threaded")
         assert isinstance(create("serial"), SerialExecutor)
-        assert isinstance(create("sharded"), ShardFanoutExecutor)
         threaded = create("threaded:workers=3")
         assert isinstance(threaded, ThreadedExecutor)
         process = create("process:workers=2")
@@ -132,9 +122,13 @@ class TestExecutorSpec:
         with pytest.raises(PipelineError):
             create("quantum")
 
+    def test_create_passes_instances_through(self):
+        executor = ThreadedExecutor(max_workers=2)
+        assert create(executor) is executor
+
 
 class TestPrecedence:
-    """flag/kwarg > spec field > $REPRO_EXECUTOR > default."""
+    """kwarg > spec field > $REPRO_EXECUTOR > default."""
 
     def test_spec_fields_configure_system(self):
         system = SubscriptionSystem(
@@ -179,6 +173,15 @@ class TestPrecedence:
                 clock=SimulatedClock(0.0), batch_size=32, queue_bound=8
             )
 
+    def test_bounds_validated(self):
+        for kwargs in (
+            {"batch_size": 0},
+            {"batch_size": 8, "queue_bound": 4},
+            {"executor": "serial:batch=8,queue=4"},
+        ):
+            with pytest.raises(PipelineError):
+                SubscriptionSystem(clock=SimulatedClock(0.0), **kwargs)
+
 
 class TestBoundedFetchQueue:
     def test_put_blocks_at_bound_and_counts_waits(self):
@@ -220,6 +223,24 @@ class TestBoundedFetchQueue:
         assert len(queue.next_batch(4)) == 1
         assert queue.next_batch(4) is None
 
+    def test_even_and_ragged_batches(self):
+        queue = BoundedFetchQueue(8)
+        fetches = [Fetch(f"http://x/{i}.xml", "<r/>") for i in range(5)]
+        queue.fill(fetches)
+        batches = []
+        while (batch := queue.next_batch(2)) is not None:
+            batches.append(batch)
+        assert [len(b) for b in batches] == [2, 2, 1]
+        assert [f.url for b in batches for f in b] == [
+            f.url for f in fetches
+        ]
+
+    def test_rejects_nonpositive_size(self):
+        with pytest.raises(PipelineError):
+            BoundedFetchQueue(0)
+        with pytest.raises(PipelineError):
+            BoundedFetchQueue(4).next_batch(0)
+
     def test_close_after_fail_is_a_no_op(self):
         """The feeder thread closes the queue in its normal epilogue; if
         the stream already failed, that close must not raise."""
@@ -232,26 +253,63 @@ class TestBoundedFetchQueue:
 
 
 class TestRunStreamThroughQueue:
-    def test_queue_depth_saturates_at_bound(self):
-        system = build_system(batch_size=4, queue_bound=8)
-        slow = iter(xml_pages(40))
+    def test_queue_is_the_only_writer_of_queue_depth(self):
+        """Sampled while a batch runs, the gauge reads the fetches still
+        waiting in the queue — not the in-flight batch size."""
+        batch, waiting = 2, 3
+        system = build_system(batch_size=batch, queue_bound=8)
+        fed_all = threading.Event()
 
         def stream():
-            for url, content in slow:
-                yield Fetch(url, content)
+            yield from from_pairs(xml_pages(batch + waiting))
+            fed_all.set()  # runs once the feeder's last put returned
 
+        original_feed_batch = system.feed_batch
+        original_run_batch = system.executor.run_batch
+        samples = []
+
+        def feed_batch(fetches, skip_malformed=True):
+            assert fed_all.wait(timeout=10)
+            return original_feed_batch(fetches, skip_malformed=skip_malformed)
+
+        def run_batch(owner, tasks, stop_on_error=False):
+            samples.append(
+                system.metrics_snapshot()["gauges"]["executor.queue_depth"]
+            )
+            return original_run_batch(owner, tasks, stop_on_error)
+
+        system.feed_batch = feed_batch
+        system.executor.run_batch = run_batch
         results = system.run_stream(stream())
+        assert len(results) == batch + waiting
+        assert samples[0] == waiting
+        gauges = system.metrics_snapshot()["gauges"]
+        assert gauges["executor.queue_depth"] == 0  # drained at the end
+
+    def test_queue_depth_saturates_at_bound(self):
+        """Behind a slow executor the feeder fills the queue to its bound
+        and no further (the queue's own test pins peak <= bound)."""
+        system = build_system(batch_size=4, queue_bound=8)
+        original = system.feed_batch
+        samples = []
+
+        def depth():
+            return system.metrics_snapshot()["gauges"]["executor.queue_depth"]
+
+        def slow_feed_batch(batch, skip_malformed=True):
+            deadline = time.monotonic() + 10
+            while not samples and depth() < 8 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            samples.append(depth())
+            return original(batch, skip_malformed=skip_malformed)
+
+        system.feed_batch = slow_feed_batch
+        results = system.run_stream(from_pairs(xml_pages(40)))
         assert len(results) == 40
-        gauge = system.metrics_snapshot()["gauges"]["executor.queue_depth"]
-        assert gauge == 0  # drained at the end
-        # The ingest report is exposed via IngestSession; re-run through
-        # one to read the peak.
-        session = IngestSession(system, batch_size=4, queue_bound=8)
-        session.run(from_pairs(xml_pages(40)))
-        report = session.last_report
-        assert report.documents == 40
-        assert report.batches == 10
-        assert 0 < report.peak_queue_depth <= 8
+        assert len(samples) == 10
+        assert samples[0] == 8
+        assert max(samples) <= 8
+        assert depth() == 0  # drained at the end
 
     def test_backpressure_fires_when_executor_is_slow(self):
         system = build_system(batch_size=2, queue_bound=2)
@@ -262,11 +320,64 @@ class TestRunStreamThroughQueue:
             return original(batch, skip_malformed=skip_malformed)
 
         system.feed_batch = slow_feed_batch
-        session = IngestSession(system, batch_size=2, queue_bound=2)
-        session.run(from_pairs(xml_pages(12)))
-        assert session.last_report.backpressure_waits > 0
+        system.run_stream(from_pairs(xml_pages(12)))
         counters = system.metrics_snapshot()["counters"]
         assert counters["ingest.backpressure_waits"] >= 1
+
+    def test_batches_use_system_batch_size(self):
+        system = build_system(executor="serial:batch=8,queue=40")
+        sizes = []
+        original = system.feed_batch
+
+        def recording_feed_batch(batch, skip_malformed=True):
+            sizes.append(len(batch))
+            return original(batch, skip_malformed=skip_malformed)
+
+        system.feed_batch = recording_feed_batch
+        system.run_stream(from_pairs(xml_pages(20)))
+        assert system.queue_bound == 40
+        assert sizes == [8, 8, 4]
+
+    def test_stream_is_consumed_lazily(self):
+        """An endless stream is pulled at most a queue and a batch ahead
+        of what the executor consumed."""
+        system = build_system(batch_size=3, queue_bound=6)
+        pulled = []
+
+        def endless():
+            i = 0
+            while True:
+                pulled.append(i)
+                yield Fetch(f"http://www.shop.example/{i}.xml", "<r/>")
+                i += 1
+
+        original = system.feed_batch
+
+        def stop_after_two(batch, skip_malformed=True):
+            if system.documents_fed >= 6:
+                raise RuntimeError("enough")
+            return original(batch, skip_malformed=skip_malformed)
+
+        system.feed_batch = stop_after_two
+        with pytest.raises(RuntimeError, match="enough"):
+            system.run_stream(endless())
+        assert system.documents_fed == 6
+        # 9 fetches left the queue in three batches, at most 6 more sat
+        # in it, and the feeder held at most one more while blocked.
+        assert len(pulled) <= 9 + 6 + 1
+
+    def test_crawl_stream_respects_refresh_schedule(self):
+        from repro.webworld import SimulatedCrawler, SiteGenerator
+
+        system = build_system()
+        crawler = SimulatedCrawler(clock=system.clock, seed=5)
+        crawler.add_xml_page(
+            "http://www.shop.example/c.xml", SiteGenerator(seed=1).catalog(2)
+        )
+        assert len(system.run_stream(crawler.due_fetches())) == 1
+        assert system.run_stream(crawler.due_fetches()) == []  # not due
+        system.clock.advance(SECONDS_PER_DAY)
+        assert len(system.run_stream(crawler.due_fetches())) == 1
 
     def test_rejection_semantics_unchanged(self):
         """Regression: the bounded-queue path keeps the old contract."""
@@ -297,11 +408,10 @@ class TestRunStreamThroughQueue:
             raise RuntimeError("executor died")
 
         system.feed_batch = exploding_feed_batch
-        session = IngestSession(system, batch_size=2, queue_bound=2)
         # 40 pages >> queue bound: the feeder is parked on a full put
         # at the moment the executor raises.
         with pytest.raises(RuntimeError, match="executor died"):
-            session.run(from_pairs(xml_pages(40)))
+            system.run_stream(from_pairs(xml_pages(40)))
         assert not any(
             thread.name == "repro-ingest-feeder" and thread.is_alive()
             for thread in threading.enumerate()
@@ -313,11 +423,10 @@ class TestRunStreamThroughQueue:
         from repro.faults import CrashPoint, clear, install
 
         system = build_system(batch_size=2, queue_bound=2)
-        session = IngestSession(system, batch_size=2, queue_bound=2)
         install("post-fetch", at=1)
         try:
             with pytest.raises(CrashPoint):
-                session.run(from_pairs(xml_pages(40)))
+                system.run_stream(from_pairs(xml_pages(40)))
         finally:
             clear()
         assert not any(
@@ -326,7 +435,8 @@ class TestRunStreamThroughQueue:
         )
 
     def test_stream_failure_loses_only_partial_tail(self):
-        """A stream that raises mid-iteration matches old chunked()."""
+        """A stream that raises mid-iteration loses only the partial
+        batch it interrupted."""
 
         def broken_stream():
             for url, content in xml_pages(7):
@@ -341,74 +451,13 @@ class TestRunStreamThroughQueue:
 
 
 class TestIngestSessionAndFrontend:
-    def test_run_crawl_drains_concurrently(self):
-        from repro.webworld import ChangeModel, SimulatedCrawler, SiteGenerator
-
-        system = build_system(batch_size=4)
-        generator = SiteGenerator(seed=3)
-        crawler = SimulatedCrawler(
-            clock=system.clock, change_model=ChangeModel(seed=4), seed=5
-        )
-        for i in range(10):
-            crawler.add_xml_page(
-                f"http://www.shop{i}.example/catalog.xml",
-                generator.catalog(products=3),
-            )
-        with IngestSession(system) as session:
-            results = session.run_crawl(crawler, concurrency=4)
-        assert len(results) == 10
-        counters = system.metrics_snapshot()["counters"]
-        assert counters["frontend.fetches"] == 10
-
-    def test_run_crawl_respects_refresh_schedule(self):
-        from repro.webworld import SimulatedCrawler, SiteGenerator
-
-        system = build_system()
-        crawler = SimulatedCrawler(clock=system.clock, seed=5)
-        crawler.add_xml_page(
-            "http://www.shop.example/c.xml", SiteGenerator(seed=1).catalog(2)
-        )
-        session = IngestSession(system)
-        assert len(session.run_crawl(crawler)) == 1
-        assert session.run_crawl(crawler) == []  # nothing due yet
-        system.clock.advance(SECONDS_PER_DAY)
-        assert len(session.run_crawl(crawler)) == 1
-
-    def test_session_defaults_come_from_system(self):
-        system = build_system(batch_size=8, queue_bound=40)
-        session = IngestSession(system)
-        assert session.batch_size == 8
-        assert session.queue_bound == 40
+    """The ingest bounds run_stream reads are checked when the system is built."""
 
     def test_session_validates_bounds(self):
-        system = build_system()
         with pytest.raises(PipelineError):
-            IngestSession(system, batch_size=0)
+            build_system(batch_size=0)
         with pytest.raises(PipelineError):
-            IngestSession(system, batch_size=8, queue_bound=4)
-
-
-class TestDeprecationShim:
-    def test_make_executor_warns_exactly_once(self):
-        executor_module._MAKE_EXECUTOR_WARNED = False
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = make_executor("serial")
-            second = make_executor("threaded")
-        assert isinstance(first, SerialExecutor)
-        assert isinstance(second, ThreadedExecutor)
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "repro.pipeline.executors.create" in str(
-            deprecations[0].message
-        )
-
-    def test_shim_accepts_full_specs(self):
-        executor_module._MAKE_EXECUTOR_WARNED = True  # keep output quiet
-        threaded = make_executor("threaded:workers=2")
-        assert isinstance(threaded, ThreadedExecutor)
+            build_system(batch_size=8, queue_bound=4)
 
 
 class TestApiFacade:
@@ -427,25 +476,12 @@ class TestApiFacade:
         from repro import api
 
         for name in (
-            "IngestSession",
-            "AsyncFetchFrontend",
+            "SubscriptionSystem",
             "BoundedFetchQueue",
             "ExecutorSpec",
             "ProcessExecutor",
-            "register_executor",
+            "create_executor",
+            "available_executors",
         ):
             assert name in api.__all__
             assert hasattr(api, name)
-
-    def test_register_round_trip(self):
-        from repro.pipeline import executors
-
-        class EchoExecutor(SerialExecutor):
-            name = "echo"
-
-        executors.register("echo", lambda spec: EchoExecutor())
-        try:
-            assert "echo" in executors.available()
-            assert isinstance(executors.create("echo"), EchoExecutor)
-        finally:
-            executors._FACTORIES.pop("echo", None)

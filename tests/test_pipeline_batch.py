@@ -15,12 +15,8 @@ from repro.errors import PipelineError, XMLSyntaxError
 from repro.observability import MetricsRegistry
 from repro.pipeline import (
     Fetch,
-    SerialExecutor,
-    ShardFanoutExecutor,
     SubscriptionSystem,
     ThreadedExecutor,
-    chunked,
-    make_executor,
 )
 
 SOURCE = """
@@ -101,56 +97,8 @@ def assert_equivalent(baseline, other, *, compare_histograms=True):
         )
 
 
-class TestChunked:
-    def test_even_and_ragged_batches(self):
-        fetches = make_stream(rounds=1, sites=5)
-        batches = list(chunked(iter(fetches), 2))
-        assert [len(b) for b in batches] == [2, 2, 1]
-        assert [f.url for b in batches for f in b] == [
-            f.url for f in fetches
-        ]
-
-    def test_is_lazy(self):
-        def endless():
-            i = 0
-            while True:
-                yield Fetch(f"http://x/{i}.xml", "<r/>")
-                i += 1
-
-        stream = chunked(endless(), 3)
-        assert len(next(stream)) == 3
-        assert len(next(stream)) == 3
-
-    def test_rejects_nonpositive_size(self):
-        with pytest.raises(PipelineError):
-            list(chunked([], 0))
-
-
-@pytest.mark.filterwarnings("ignore::DeprecationWarning")
 class TestMakeExecutor:
-    """The deprecated shim still resolves everything it used to.
-
-    (The warning itself is pinned in test_ingest_api.py.)
-    """
-
-    def test_names_resolve(self):
-        assert isinstance(make_executor("serial"), SerialExecutor)
-        assert isinstance(make_executor("threaded"), ThreadedExecutor)
-        assert isinstance(make_executor("sharded"), ShardFanoutExecutor)
-
-    def test_instance_passes_through(self):
-        executor = ThreadedExecutor(max_workers=2)
-        assert make_executor(executor) is executor
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(PipelineError):
-            make_executor("quantum")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EXECUTOR", "threaded")
-        assert isinstance(make_executor(None), ThreadedExecutor)
-        monkeypatch.delenv("REPRO_EXECUTOR")
-        assert isinstance(make_executor(None), SerialExecutor)
+    """Executor construction: the system refuses an unusable batch size."""
 
     def test_system_rejects_bad_batch_size(self):
         with pytest.raises(PipelineError):
@@ -204,7 +152,6 @@ class TestSerialBatchEquivalence:
         sizes = snapshot["histograms"]["executor.batch_size{executor=serial}"]
         assert sizes["count"] == 2
         assert sizes["sum"] == 8.0
-        assert snapshot["gauges"]["executor.queue_depth"] == 0.0
         run_batch = snapshot["histograms"][
             "executor.run_batch.latency_seconds{executor=serial}"
         ]
@@ -252,18 +199,26 @@ class TestSerialBatchEquivalence:
         stream = make_stream()
         one_batch = build_system(executor="serial")
         one_batch.feed_batch(stream)
-        small_batches = build_system(executor="serial")
-        small_batches.run_stream(iter(stream), batch_size=4)
+        # A queue that holds the whole stream never blocks, so no
+        # backpressure counter separates the two snapshots.
+        small_batches = build_system(
+            executor="serial", batch_size=4, queue_bound=64
+        )
+        small_batches.run_stream(iter(stream))
         assert_equivalent(one_batch, small_batches)
 
 
 class TestThreadedExecutorEquivalence:
     def test_matches_serial(self):
         stream = make_stream(malformed=True)
-        serial = build_system(executor="serial")
-        serial_results = serial.run_stream(iter(stream), batch_size=8)
-        threaded = build_system(executor=ThreadedExecutor(max_workers=4))
-        threaded_results = threaded.run_stream(iter(stream), batch_size=8)
+        serial = build_system(executor="serial:batch=8,queue=64")
+        serial_results = serial.run_stream(iter(stream))
+        threaded = build_system(
+            executor=ThreadedExecutor(max_workers=4),
+            batch_size=8,
+            queue_bound=64,
+        )
+        threaded_results = threaded.run_stream(iter(stream))
         assert notification_keys(threaded_results) == notification_keys(
             serial_results
         )
@@ -284,28 +239,3 @@ class TestThreadedExecutorEquivalence:
             "http://www.shop0.example/late.xml"
         )
         system.executor.close()
-
-
-class TestShardFanoutEquivalence:
-    def test_matches_serial_on_sharded_system(self):
-        stream = make_stream(rounds=4, sites=8, malformed=True)
-        serial = build_system(executor="serial", shards=3)
-        serial_results = serial.run_stream(iter(stream), batch_size=16)
-        fanout = build_system(executor="sharded", shards=3)
-        fanout_results = fanout.run_stream(iter(stream), batch_size=16)
-        assert notification_keys(fanout_results) == notification_keys(
-            serial_results
-        )
-        assert_equivalent(serial, fanout)
-        assert (
-            fanout.metrics_snapshot()["shard_load"]
-            == serial.metrics_snapshot()["shard_load"]
-        )
-
-    def test_degrades_to_serial_on_single_shard(self):
-        stream = make_stream()
-        serial = build_system(executor="serial")
-        serial.feed_batch(stream)
-        fanout = build_system(executor="sharded")
-        fanout.feed_batch(stream)
-        assert_equivalent(serial, fanout)

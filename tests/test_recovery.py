@@ -44,7 +44,6 @@ from repro.faults.killpoints import (
 )
 from repro.minisql import Database
 from repro.pipeline import (
-    IngestSession,
     ProcessExecutor,
     SubscriptionSystem,
     from_pairs,
@@ -535,12 +534,6 @@ class TestExactlyOnceCrashRecovery:
             fault_free_deliveries(tmp_path_factory, seed)
         )
 
-    def test_resume_requires_a_recovered_system(self):
-        system = SubscriptionSystem(clock=SimulatedClock(START))
-        session = IngestSession(system)
-        with pytest.raises(RecoveryError, match="recover_runtime"):
-            session.resume(iter([]))
-
 
 # ---------------------------------------------------------------------------
 # The CLI round trip
@@ -612,7 +605,7 @@ class TestWatchdog:
         assert executor.watchdog == 30
         executor.close()
 
-    @pytest.mark.parametrize("name", ["serial", "threaded", "sharded"])
+    @pytest.mark.parametrize("name", ["serial", "threaded"])
     def test_other_executors_reject_watchdog(self, name):
         from repro.pipeline.executors import create
 
