@@ -40,6 +40,27 @@ class TestMalformedPages:
                 skip_malformed=False,
             )
 
+    @pytest.mark.parametrize("reference", ["&#xZZ;", "&#;", "&#99999999;"])
+    def test_bad_character_reference_rejects_only_its_page(
+        self, system, reference
+    ):
+        results = system.run_stream(
+            [
+                Fetch("http://x/one.xml", "<a>ok</a>"),
+                Fetch("http://x/bad.xml", f"<a>{reference}</a>"),
+                Fetch("http://x/three.xml", "<a>ok</a>"),
+            ]
+        )
+        assert len(results) == 2
+        assert system.documents_rejected == 1
+        counters = system.metrics_snapshot()["counters"]
+        assert (
+            counters["pipeline.documents_rejected{reason=XMLSyntaxError}"]
+            == 1
+        )
+        document = system.repository.document_for_url("http://x/three.xml")
+        assert document.root.text_content() == "ok"
+
     def test_malformed_refetch_keeps_old_version(self, system, clock):
         system.feed_xml("http://x/a.xml", "<r><keep/></r>")
         clock.advance(60)
