@@ -23,8 +23,14 @@ from __future__ import annotations
 from typing import List
 
 from ..errors import DiffError
-from ..xmlstore.nodes import Document, ElementNode, Node, TextNode
-from .delta import Delta, _copy_subtree
+from ..xmlstore.nodes import (
+    Document,
+    ElementNode,
+    Node,
+    TextNode,
+    copy_subtree,
+)
+from .delta import Delta
 from .xids import index_by_xid
 
 STATUS_ATTR = "diff:status"
@@ -94,7 +100,7 @@ def annotate_changes(
                 f"annotation: delete parent XID {delete.parent_xid} is not"
                 " in the merged document"
             )
-        ghost = _copy_subtree(delete.subtree)
+        ghost = copy_subtree(delete.subtree)
         if isinstance(ghost, ElementNode):
             ghost.attributes[STATUS_ATTR] = DELETED
         else:
@@ -107,7 +113,7 @@ def annotate_changes(
 
 
 def _copy_annotated(node: Node) -> Node:
-    copy = _copy_subtree(node)
+    copy = copy_subtree(node)
     return copy
 
 

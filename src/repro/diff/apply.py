@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import Dict
 
 from ..errors import DeltaApplyError
-from ..xmlstore.nodes import Document, ElementNode, Node
-from .delta import Delta, _copy_subtree, copy_document
+from ..xmlstore.nodes import Document, ElementNode, Node, copy_subtree
+from .delta import Delta, copy_document
 from .xids import index_by_xid
 
 
@@ -54,7 +54,7 @@ def apply_delta(document: Document, delta: Delta) -> Document:
                 f"insert position {insert.position} beyond the"
                 f" {len(parent.children)} children of XID {insert.parent_xid}"
             )
-        subtree = _copy_subtree(insert.subtree)
+        subtree = copy_subtree(insert.subtree)
         parent.insert(insert.position, subtree)
         for added in subtree.preorder():
             if added.xid is not None:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from ..xmlstore.nodes import Document, ElementNode, Node, TextNode
+from ..xmlstore.nodes import Document, ElementNode, Node, copy_subtree
 from ..xmlstore.serializer import serialize
 
 
@@ -123,7 +123,7 @@ class Delta:
                 parent=str(delete.parent_xid),
                 position=str(delete.position),
             )
-            element.append(_copy_subtree(delete.subtree))
+            element.append(copy_subtree(delete.subtree))
         for insert in self.inserts:
             element = root.make_child(
                 "inserted",
@@ -131,7 +131,7 @@ class Delta:
                 parent=str(insert.parent_xid),
                 position=str(insert.position),
             )
-            element.append(_copy_subtree(insert.subtree))
+            element.append(copy_subtree(insert.subtree))
         for update in self.text_updates:
             root.make_child(
                 "updated",
@@ -171,7 +171,7 @@ class Delta:
                     xid=insert.xid,
                     parent_xid=insert.parent_xid,
                     position=insert.position,
-                    subtree=_copy_subtree(insert.subtree),
+                    subtree=copy_subtree(insert.subtree),
                 )
             )
         # Deletes were recorded bottom-up/right-to-left against the *old*
@@ -182,7 +182,7 @@ class Delta:
                 InsertOp(
                     parent_xid=delete.parent_xid,
                     position=delete.position,
-                    subtree=_copy_subtree(delete.subtree),
+                    subtree=copy_subtree(delete.subtree),
                 )
             )
         for update in self.text_updates:
@@ -206,23 +206,9 @@ class Delta:
         return inverse
 
 
-def _copy_subtree(node: Node) -> Node:
-    """Deep copy of a subtree, preserving XIDs."""
-    if isinstance(node, TextNode):
-        copy = TextNode(node.data)
-        copy.xid = node.xid
-        return copy
-    assert isinstance(node, ElementNode)
-    copy_element = ElementNode(node.tag, dict(node.attributes))
-    copy_element.xid = node.xid
-    for child in node.children:
-        copy_element.append(_copy_subtree(child))
-    return copy_element
-
-
 def copy_document(document: Document) -> Document:
     """Deep copy of a whole document, preserving XIDs."""
-    root_copy = _copy_subtree(document.root)
+    root_copy = copy_subtree(document.root)
     assert isinstance(root_copy, ElementNode)
     return Document(
         root_copy,

@@ -35,6 +35,7 @@ from ..minisql import (
     TEXT,
     schema,
 )
+from ..xmlstore.nodes import ElementNode
 from .compiler import CompiledSubscription, SubscriptionCompiler
 from .cost import CostController
 
@@ -293,6 +294,8 @@ class SubscriptionManager:
         # several disjuncts may match through more than one complex event —
         # deliver it once.
         seen_bindings: Set[int] = set()
+        # Instantiated select templates of this document, parsed once each.
+        parsed: Dict[str, ElementNode] = {}
         for notification in batch:
             owner_id = self._code_owner.get(notification.complex_code)
             if owner_id is None:
@@ -309,7 +312,7 @@ class SubscriptionManager:
             if reporter is not None:
                 self._deliver(
                     reporter, owner_id, binding.query_name,
-                    binding.render(notification),
+                    binding.render(notification, parsed),
                 )
                 for target_id in self._virtual_targets(
                     binding.subscription_name, binding.query_name
@@ -320,7 +323,7 @@ class SubscriptionManager:
                         # reparents notification nodes.
                         self._deliver(
                             reporter, target_id, binding.query_name,
-                            binding.render(notification),
+                            binding.render(notification, parsed),
                         )
             if trigger_engine is not None:
                 trigger_engine.notification_received(

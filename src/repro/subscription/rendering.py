@@ -6,7 +6,9 @@ A monitoring query's ``select`` clause decides what a notification carries
 * **template** — ``select <UpdatedPage url=URL/>``: the XML template is
   instantiated per notification; unquoted attribute values naming a pseudo
   variable are substituted (``URL`` — the document URL, ``DATE`` — the
-  detection timestamp, ``DOCID`` where known).
+  detection timestamp, ``DOCID`` where known).  Each distinct instantiated
+  text is parsed once per ``parsed`` cache the caller passes (one per
+  document), and every render gets its own copy of the nodes.
 * **items** — ``select X`` with ``from self//Member X``: the alerter put the
   matched elements for X's condition in the alert's data payload; they are
   parsed back and emitted as the notification content.
@@ -24,7 +26,7 @@ from typing import Dict, List, Optional
 from ..core.processor import Notification
 from ..errors import SubscriptionError, XMLSyntaxError
 from ..language.ast import MonitoringQuery, SelectSpec
-from ..xmlstore.nodes import ElementNode
+from ..xmlstore.nodes import ElementNode, copy_subtree
 from ..xmlstore.parser import parse
 
 #: Unquoted attribute value referencing a variable: ``url=URL``.
@@ -42,9 +44,24 @@ class NotificationBinding:
     #: select item -> atomic event code whose payload carries its matches.
     item_codes: Dict[str, int]
 
-    def render(self, notification: Notification) -> List[ElementNode]:
+    def render(
+        self,
+        notification: Notification,
+        parsed: Optional[Dict[str, ElementNode]] = None,
+    ) -> List[ElementNode]:
+        """Fresh notification elements for ``notification``.
+
+        ``parsed`` maps instantiated template text to its parsed element;
+        renders that share one dict parse each distinct text once.
+        """
         if self.select.template is not None:
-            return [_instantiate_template(self.select.template, notification)]
+            return [
+                _instantiate_template(
+                    self.select.template,
+                    notification,
+                    {} if parsed is None else parsed,
+                )
+            ]
         if self.select.items:
             elements: List[ElementNode] = []
             for item in self.select.items:
@@ -78,7 +95,9 @@ def _default_notification(
 
 
 def _instantiate_template(
-    template: str, notification: Notification
+    template: str,
+    notification: Notification,
+    parsed: Dict[str, ElementNode],
 ) -> ElementNode:
     values = {
         "URL": notification.document_url,
@@ -95,12 +114,18 @@ def _instantiate_template(
         return f'="{value}"'
 
     quoted = _UNQUOTED_ATTR_RE.sub(substitute, template)
-    try:
-        return parse(quoted).root
-    except XMLSyntaxError as exc:
-        raise SubscriptionError(
-            f"cannot instantiate select template {template!r}: {exc}"
-        ) from exc
+    element = parsed.get(quoted)
+    if element is None:
+        try:
+            element = parsed[quoted] = parse(quoted).root
+        except XMLSyntaxError as exc:
+            raise SubscriptionError(
+                f"cannot instantiate select template {template!r}: {exc}"
+            ) from exc
+    # Report assembly reparents the nodes it is given: hand out a copy.
+    copy = copy_subtree(element)
+    assert isinstance(copy, ElementNode)
+    return copy
 
 
 def item_event_codes(

@@ -197,6 +197,20 @@ class TextNode(Node):
         return f"<TextNode {preview!r}>"
 
 
+def copy_subtree(node: Node) -> Node:
+    """Deep copy of a subtree, preserving XIDs."""
+    if isinstance(node, TextNode):
+        copy = TextNode(node.data)
+        copy.xid = node.xid
+        return copy
+    assert isinstance(node, ElementNode)
+    copy_element = ElementNode(node.tag, node.attributes)
+    copy_element.xid = node.xid
+    for child in node.children:
+        copy_element.append(copy_subtree(child))
+    return copy_element
+
+
 class Document:
     """A parsed XML document: prolog-free wrapper around the root element.
 

@@ -1,9 +1,12 @@
-"""XML parser: token stream -> :class:`~repro.xmlstore.nodes.Document`.
+"""XML parser: source text -> :class:`~repro.xmlstore.nodes.Document`.
 
-Checks well-formedness (single root, balanced tags) and folds adjacent text
-tokens.  Whitespace-only text between elements is dropped by default because
-the alerter word tables and the diff matcher operate on meaningful data
-nodes; pass ``keep_whitespace=True`` to preserve it.
+Builds element and text nodes straight from the scanner's tokens
+(``repro.xmlstore.tokenizer.scan``), checks well-formedness (single root,
+balanced tags) and folds adjacent text (entity-decoded runs, CDATA, text on
+either side of a comment or processing instruction).  Whitespace-only text
+between elements is dropped by default because the alerter word tables and
+the diff matcher operate on meaningful data nodes; pass
+``keep_whitespace=True`` to preserve it.
 """
 
 from __future__ import annotations
@@ -11,8 +14,8 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..errors import XMLSyntaxError
-from . import tokenizer
 from .nodes import Document, ElementNode, TextNode
+from .tokenizer import DOCTYPE, START_TAG, TEXT, line_column, scan
 
 
 def parse(source: str, keep_whitespace: bool = False) -> Document:
@@ -29,73 +32,71 @@ def parse(source: str, keep_whitespace: bool = False) -> Document:
     dtd_url: Optional[str] = None
     stack: List[ElementNode] = []
     pending_text: List[str] = []
-    pending_pos = (0, 0)
+    pending_offset = 0
 
     def flush_text() -> None:
-        nonlocal pending_text
-        if not pending_text:
-            return
         data = "".join(pending_text)
-        pending_text = []
+        pending_text.clear()
         if not keep_whitespace and not data.strip():
             return
         if not stack:
             if data.strip():
                 raise XMLSyntaxError(
                     "character data outside the root element",
-                    pending_pos[0],
-                    pending_pos[1],
+                    *line_column(source, pending_offset),
                 )
             return
-        stack[-1].append(TextNode(data))
+        parent = stack[-1]
+        node = TextNode(data)
+        node.parent = parent
+        parent.children.append(node)
 
-    for token in tokenizer.tokenize(source):
-        if token.kind == tokenizer.TEXT:
+    for kind, value, offset in scan(source):
+        if kind == TEXT:
             if not pending_text:
-                pending_pos = (token.line, token.column)
-            pending_text.append(token.value)  # type: ignore[arg-type]
+                pending_offset = offset
+            pending_text.append(value)  # type: ignore[arg-type]
             continue
-        flush_text()
-        if token.kind == tokenizer.DOCTYPE:
-            if root is not None or stack:
-                raise XMLSyntaxError(
-                    "DOCTYPE after the root element", token.line, token.column
-                )
-            doctype_name, dtd_url = token.value  # type: ignore[misc]
-            continue
-        if token.kind == tokenizer.START_TAG:
-            tag, attrs, self_closing = token.value  # type: ignore[misc]
+        if pending_text:
+            flush_text()
+        if kind == START_TAG:
+            tag, attrs, self_closing = value  # type: ignore[misc]
             element = ElementNode(tag, attrs)
             if stack:
-                stack[-1].append(element)
+                parent = stack[-1]
+                element.parent = parent
+                parent.children.append(element)
             elif root is None:
                 root = element
             else:
                 raise XMLSyntaxError(
-                    f"second root element <{tag}>", token.line, token.column
+                    f"second root element <{tag}>",
+                    *line_column(source, offset),
                 )
             if not self_closing:
                 stack.append(element)
-            continue
-        if token.kind == tokenizer.END_TAG:
-            tag = token.value
+        elif kind == DOCTYPE:
+            if root is not None or stack:
+                raise XMLSyntaxError(
+                    "DOCTYPE after the root element",
+                    *line_column(source, offset),
+                )
+            doctype_name, dtd_url = value  # type: ignore[misc]
+        else:  # END_TAG
             if not stack:
                 raise XMLSyntaxError(
-                    f"unexpected end tag </{tag}>", token.line, token.column
+                    f"unexpected end tag </{value}>",
+                    *line_column(source, offset),
                 )
             open_element = stack.pop()
-            if open_element.tag != tag:
+            if open_element.tag != value:
                 raise XMLSyntaxError(
-                    f"end tag </{tag}> does not match <{open_element.tag}>",
-                    token.line,
-                    token.column,
+                    f"end tag </{value}> does not match <{open_element.tag}>",
+                    *line_column(source, offset),
                 )
-            continue
-        raise XMLSyntaxError(
-            f"unexpected token kind {token.kind}", token.line, token.column
-        )
 
-    flush_text()
+    if pending_text:
+        flush_text()
     if stack:
         raise XMLSyntaxError(f"unclosed element <{stack[-1].tag}>")
     if root is None:

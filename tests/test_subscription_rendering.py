@@ -1,8 +1,12 @@
 import pytest
 
+from repro.clock import SimulatedClock
 from repro.core.processor import Notification
+from repro.errors import SubscriptionError
 from repro.language.ast import SelectSpec
 from repro.language.parser import parse_subscription
+from repro.pipeline import SubscriptionSystem
+from repro.subscription import rendering
 from repro.subscription.rendering import (
     NotificationBinding,
     item_event_codes,
@@ -62,6 +66,78 @@ class TestTemplateRendering:
         first = b.render(notification())[0]
         second = b.render(notification())[0]
         assert first is not second
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    calls = []
+    real_parse = rendering.parse
+
+    def counting_parse(text):
+        calls.append(text)
+        return real_parse(text)
+
+    monkeypatch.setattr(rendering, "parse", counting_parse)
+    return calls
+
+
+class TestTemplateParsedOncePerDocument:
+    def test_shared_cache_parses_each_text_once(self, parse_calls):
+        b = binding(SelectSpec(template="<Outer><Inner url=URL/></Outer>"))
+        parsed = {}
+        first = b.render(notification(), parsed)[0]
+        second = b.render(notification(), parsed)[0]
+        assert len(parse_calls) == 1
+        assert first is not second
+        assert first.first("Inner") is not second.first("Inner")
+        assert serialize(first) == serialize(second)
+        first.attributes["changed"] = "yes"
+        first.first("Inner").detach()
+        third = b.render(notification(), parsed)[0]
+        assert serialize(third) == serialize(second)
+
+    def test_distinct_texts_parsed_separately(self, parse_calls):
+        b = binding(SelectSpec(template="<UpdatedPage url=URL/>"))
+        parsed = {}
+        b.render(notification(), parsed)
+        other = Notification(
+            complex_code=7,
+            document_url="http://other.example/",
+            timestamp=990_000_000.0,
+            data={},
+        )
+        (element,) = b.render(other, parsed)
+        assert element.attributes["url"] == "http://other.example/"
+        assert len(parse_calls) == 2
+
+    def test_bad_template_raises_every_render(self):
+        b = binding(SelectSpec(template="<Tag url=URL>"))
+        parsed = {}
+        for _ in range(2):
+            with pytest.raises(SubscriptionError):
+                b.render(notification(), parsed)
+        assert parsed == {}
+
+    def test_one_parse_for_many_subscribers_of_a_document(self, parse_calls):
+        system = SubscriptionSystem(clock=SimulatedClock(990_000_000.0))
+        for index in range(5):
+            system.subscribe(
+                f"subscription S{index}\nmonitoring M\n"
+                "select <Hit url=URL/>\n"
+                'where URL extends "http://w.example/"\n'
+                "  and modified self\n"
+                "report when immediate",
+                owner_email=f"u{index}@example.org",
+            )
+        system.feed_xml("http://w.example/a.xml", "<r>one</r>")
+        system.clock.advance(60)
+        parse_calls.clear()
+        result = system.feed_xml("http://w.example/a.xml", "<r>two</r>")
+        assert len(result.notifications) == 5
+        assert parse_calls == ['<Hit url="http://w.example/a.xml"/>']
+        bodies = [mail.body for mail in system.email_sink.sent]
+        assert len(bodies) == 5
+        assert all('<Hit url="http://w.example/a.xml"/>' in b for b in bodies)
 
 
 class TestItemRendering:
